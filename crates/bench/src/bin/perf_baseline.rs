@@ -10,6 +10,8 @@
 //! * the greedy Pastry trie DP through a reused [`PastryWorkspace`] and
 //!   the exact per-row DP;
 //! * Space-Saving stream updates;
+//! * the frequency-oblivious baseline (`select_oblivious_uniform`) at
+//!   the hot Pastry world, per node selection;
 //! * end-to-end `fig3` at `--quick` scale serially and over the pool
 //!   (paper scale too without `--quick`), reporting speedup-vs-serial.
 //!
@@ -57,7 +59,7 @@ use peercache_par::with_threads;
 use peercache_pastry::RoutingMode;
 use peercache_sim::{
     fault_matrix_multi, fig3, ChurnConfig, ChurnRecomputeBench, FaultMatrixConfig, OverlayKind,
-    Scale, SelectionBench, StableConfig,
+    RuntimeFixture, Scale, SelectionBench, StableConfig,
 };
 use peercache_workload::{random_ids, Zipf};
 use rand::rngs::StdRng;
@@ -103,6 +105,8 @@ struct BenchReport {
     label: String,
     quick: bool,
     threads: usize,
+    /// The host's core count, so pool-width results read in context.
+    available_parallelism: usize,
     calibration_ns_per_mix: f64,
     kernels: Vec<KernelReport>,
     /// Bytes-per-node gauges (empty without `count-allocs`).
@@ -396,6 +400,44 @@ fn micro_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>)
             std::hint::black_box(top.observations());
         }),
         None,
+    );
+
+    // The frequency-oblivious baseline at the hot world (Pastry b = 1,
+    // n = 2048, fig3's largest point): `select_oblivious_uniform` for
+    // the first 256 nodes on one `seed + 3` stream, the stable driver's
+    // serial loop. Each sample restarts the stream, so every sample makes
+    // the same draws. Every call returns a fresh selection, so allocs/op
+    // is reported, not held to zero.
+    const BASELINE_NODES: usize = 256;
+    let hot = StableConfig::paper_defaults(
+        OverlayKind::Pastry {
+            digit_bits: 1,
+            mode: RoutingMode::LocalityAware,
+        },
+        2048,
+        1,
+    );
+    let fixture = RuntimeFixture::build(&hot);
+    let mut sweep = || {
+        let mut rng = StdRng::seed_from_u64(hot.seed.wrapping_add(3));
+        for &node in &fixture.node_ids()[..BASELINE_NODES] {
+            std::hint::black_box(
+                fixture
+                    .overlay()
+                    .select_oblivious_uniform(node, hot.k, &mut rng)
+                    .expect("stable problems are well-formed"),
+            );
+        }
+    };
+    let ns = time_median(profile.samples, profile.warmup, &mut sweep);
+    let alloc = allocs_per_op(BASELINE_NODES as u64, &mut sweep);
+    push(
+        "baseline_oblivious_uniform",
+        "pastry b=1 n=2048 k=11 (hot world)",
+        BASELINE_NODES as u64,
+        1,
+        ns,
+        alloc,
     );
 }
 
@@ -705,8 +747,10 @@ fn main() {
     let args = parse_args();
     let (profile, label) = (&args.profile, &args.label);
     let calib = calibrate();
+    let available_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
-        "perf_baseline: label={label} quick={} threads={} calibration={calib:.3} ns/mix",
+        "perf_baseline: label={label} quick={} threads={} cores={available_parallelism} \
+         calibration={calib:.3} ns/mix",
         profile.quick,
         peercache_par::threads()
     );
@@ -728,6 +772,7 @@ fn main() {
         label: label.clone(),
         quick: profile.quick,
         threads: peercache_par::threads(),
+        available_parallelism,
         calibration_ns_per_mix: calib,
         kernels,
         memory,

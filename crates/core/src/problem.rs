@@ -1,4 +1,4 @@
-use std::collections::HashSet;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -79,6 +79,23 @@ pub struct Selection {
     pub cost: f64,
 }
 
+/// `ids` in increasing order: borrowed when already sorted (the
+/// substrates hand out id-ordered core sets), a sorted copy otherwise.
+fn sorted(ids: &[Id]) -> Cow<'_, [Id]> {
+    if ids.windows(2).all(|w| w[0] <= w[1]) {
+        Cow::Borrowed(ids)
+    } else {
+        let mut owned = ids.to_vec();
+        owned.sort_unstable();
+        Cow::Owned(owned)
+    }
+}
+
+/// The smallest id that occurs more than once in the sorted `ids`.
+fn repeated(ids: &[Id]) -> Option<Id> {
+    ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 fn validate_common(
     space: IdSpace,
     source: Id,
@@ -88,7 +105,6 @@ fn validate_common(
     space
         .check(source)
         .map_err(|e| SelectError::InvalidProblem(format!("source: {e}")))?;
-    let mut core_set = HashSet::with_capacity(core.len());
     for &c in core {
         space
             .check(c)
@@ -98,13 +114,13 @@ fn validate_common(
                 "core neighbor {c} equals the source node"
             )));
         }
-        if !core_set.insert(c) {
-            return Err(SelectError::InvalidProblem(format!(
-                "duplicate core neighbor {c}"
-            )));
-        }
     }
-    let mut seen = HashSet::with_capacity(candidates.len());
+    let core = sorted(core);
+    if let Some(c) = repeated(&core) {
+        return Err(SelectError::InvalidProblem(format!(
+            "duplicate core neighbor {c}"
+        )));
+    }
     for cand in candidates {
         space
             .check(cand.id)
@@ -121,16 +137,10 @@ fn validate_common(
                 cand.id
             )));
         }
-        if core_set.contains(&cand.id) {
+        if core.binary_search(&cand.id).is_ok() {
             return Err(SelectError::InvalidProblem(format!(
                 "candidate {} is already a core neighbor; filter the \
                  frequency snapshot with `without` first",
-                cand.id
-            )));
-        }
-        if !seen.insert(cand.id) {
-            return Err(SelectError::InvalidProblem(format!(
-                "duplicate candidate {}",
                 cand.id
             )));
         }
@@ -138,6 +148,17 @@ fn validate_common(
             return Err(SelectError::InvalidProblem(format!(
                 "candidate {}: max_hops must be ≥ 1 (the first hop is always taken)",
                 cand.id
+            )));
+        }
+    }
+    // Snapshot-derived candidates arrive strictly increasing, which one
+    // scan proves duplicate-free; anything else is sorted and scanned.
+    if candidates.windows(2).any(|w| w[0].id >= w[1].id) {
+        let mut ids: Vec<Id> = candidates.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        if let Some(id) = repeated(&ids) {
+            return Err(SelectError::InvalidProblem(format!(
+                "duplicate candidate {id}"
             )));
         }
     }
@@ -326,6 +347,47 @@ mod tests {
     fn rejects_duplicate_core_neighbors() {
         let e = ChordProblem::new(space(), id(0), vec![id(7), id(7)], vec![], 1).unwrap_err();
         assert!(matches!(e, SelectError::InvalidProblem(_)));
+    }
+
+    /// An `InvalidProblem` whose message says `what` about `culprit`.
+    fn assert_invalid_naming(e: SelectError, what: &str, culprit: Id) {
+        let SelectError::InvalidProblem(msg) = e else {
+            panic!("expected InvalidProblem, got {e:?}");
+        };
+        assert!(
+            msg.contains(what) && msg.contains(&culprit.to_string()),
+            "{msg:?} should say {what:?} about {culprit}"
+        );
+    }
+
+    fn cands(ids: &[u128]) -> Vec<Candidate> {
+        ids.iter().map(|&v| Candidate::new(id(v), 1.0)).collect()
+    }
+
+    #[test]
+    fn unsorted_inputs_take_the_sort_and_scan_path() {
+        let e = ChordProblem::new(space(), id(0), vec![], cands(&[9, 3, 200, 9]), 1).unwrap_err();
+        assert_invalid_naming(e, "duplicate candidate", id(9));
+        let e = PastryProblem::new(space(), 1, id(0), vec![id(70), id(5), id(70)], vec![], 1)
+            .unwrap_err();
+        assert_invalid_naming(e, "duplicate core neighbor", id(70));
+        let core = vec![id(90), id(12), id(40)];
+        let e = ChordProblem::new(space(), id(0), core.clone(), cands(&[1, 40]), 1).unwrap_err();
+        assert_invalid_naming(e, "already a core neighbor", id(40));
+        // Distinct but unsorted input is well-formed.
+        assert!(ChordProblem::new(space(), id(0), core, cands(&[5, 3]), 1).is_ok());
+    }
+
+    #[test]
+    fn sorted_inputs_pass_the_scan() {
+        let sorted: Vec<u128> = (1..=100).filter(|v| v % 10 != 0).collect();
+        let core = vec![id(10), id(20), id(30)];
+        assert!(PastryProblem::new(space(), 2, id(0), core.clone(), cands(&sorted), 4).is_ok());
+        // The scan still catches adjacent duplicates in otherwise sorted input.
+        let mut dup = sorted;
+        dup.insert(1, 1);
+        let e = ChordProblem::new(space(), id(0), core, cands(&dup), 4).unwrap_err();
+        assert_invalid_naming(e, "duplicate candidate", id(1));
     }
 
     #[test]

@@ -466,10 +466,9 @@ impl SimOverlay {
         Id::new(((rank_of(w) + n - rank_of(source)) % n) as u128)
     }
 
-    fn candidates_for(&self, node: Id, frequencies: &FrequencySnapshot) -> Vec<Candidate> {
-        let core = self.core_neighbors(node);
+    fn candidates_for(node: Id, core: &[Id], frequencies: &FrequencySnapshot) -> Vec<Candidate> {
         frequencies
-            .without(core.into_iter().chain(std::iter::once(node)))
+            .without(core.iter().copied().chain(std::iter::once(node)))
             .iter()
             .map(|(id, weight)| Candidate::new(id, weight))
             .collect()
@@ -510,8 +509,8 @@ impl SimOverlay {
         k: usize,
         scratch: &mut SelectScratch,
     ) -> Result<Selection, SelectError> {
-        let candidates = self.candidates_for(node, frequencies);
         let core = self.core_neighbors(node);
+        let candidates = Self::candidates_for(node, &core, frequencies);
         match self.kind() {
             OverlayKind::Chord => {
                 let problem = ChordProblem::new(self.space(), node, core, candidates, k)?;
@@ -564,42 +563,14 @@ impl SimOverlay {
         }
     }
 
-    /// Run the frequency-oblivious baseline selection for `node` over the
-    /// same candidate pool.
-    ///
-    /// # Errors
-    /// Propagates [`SelectError::InvalidProblem`] (construction only).
-    pub(crate) fn select_oblivious<R: Rng + ?Sized>(
-        &self,
-        node: Id,
-        frequencies: &FrequencySnapshot,
-        k: usize,
-        rng: &mut R,
-    ) -> Result<Selection, SelectError> {
-        let candidates = self.candidates_for(node, frequencies);
-        let core = self.core_neighbors(node);
-        match self.kind() {
-            OverlayKind::Chord | OverlayKind::SkipGraph => {
-                let candidates = candidates
-                    .into_iter()
-                    .filter(|c| self.is_live(c.id))
-                    .collect();
-                let problem = ChordProblem::new(self.space(), node, core, candidates, k)?;
-                Ok(baseline::chord_oblivious(&problem, rng))
-            }
-            OverlayKind::Pastry { digit_bits, .. } | OverlayKind::Tapestry { digit_bits } => {
-                let problem =
-                    PastryProblem::new(self.space(), digit_bits, node, core, candidates, k)?;
-                Ok(baseline::pastry_oblivious(&problem, rng))
-            }
-        }
-    }
-
     /// Frequency-oblivious selection over the *whole live ring* (minus
     /// self and core): the paper's baseline picks random nodes per
     /// distance slice from the overlay, with no reference to who was
     /// queried (§VI-A). This is the churn-mode baseline; in stable mode
     /// the observed pool already equals the whole ring.
+    ///
+    /// Linear in the ring size: the candidates are the id-ordered live
+    /// ids minus `N_s ∪ {s}`, each at weight 1, built in one pass.
     ///
     /// # Errors
     /// Propagates [`SelectError::InvalidProblem`] (construction only).
@@ -609,9 +580,27 @@ impl SimOverlay {
         k: usize,
         rng: &mut R,
     ) -> Result<Selection, SelectError> {
-        let uniform =
-            FrequencySnapshot::from_pairs(self.live_ids().into_iter().map(|id| (id, 1.0)));
-        self.select_oblivious(node, &uniform, k, rng)
+        let mut core = self.core_neighbors(node);
+        // The problem treats the core as a set, so its order is free; the
+        // substrates already hand it out sorted.
+        core.sort_unstable();
+        let candidates: Vec<Candidate> = self
+            .live_ids()
+            .into_iter()
+            .filter(|&id| id != node && core.binary_search(&id).is_err())
+            .map(|id| Candidate::new(id, 1.0))
+            .collect();
+        match self.kind() {
+            OverlayKind::Chord | OverlayKind::SkipGraph => {
+                let problem = ChordProblem::new(self.space(), node, core, candidates, k)?;
+                Ok(baseline::chord_oblivious(&problem, rng))
+            }
+            OverlayKind::Pastry { digit_bits, .. } | OverlayKind::Tapestry { digit_bits } => {
+                let problem =
+                    PastryProblem::new(self.space(), digit_bits, node, core, candidates, k)?;
+                Ok(baseline::pastry_oblivious(&problem, rng))
+            }
+        }
     }
 
     // ---- churn operations (Chord experiments) ---------------------------

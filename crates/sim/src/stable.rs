@@ -336,7 +336,10 @@ pub(crate) fn build_stable_retaining(config: &StableConfig) -> (StableSetup, Sel
     // here yields the exact draw sequence of the historical interleaved
     // loop). The baseline ignores frequencies entirely: random picks per
     // distance slice over the whole ring (§VI-A), not just over the
-    // nodes that happen to own items.
+    // nodes that happen to own items. Each call is linear in the ring
+    // size apart from the draws (sorted-neighbour cost, sorted-slice
+    // validation), so the serial loop stays cheaper than the aware
+    // fan-out at the figure sizes.
     let mut oblivious_sets = Vec::with_capacity(config.nodes);
     for &node in inputs.node_ids.iter() {
         let oblivious = inputs
