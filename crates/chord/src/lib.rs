@@ -19,6 +19,12 @@
 //! terminate at a node that wrongly believes it owns the key are reported
 //! as [`LookupOutcome::WrongOwner`] — the "unanswered queries" churn
 //! produces.
+//!
+//! The forwarding rule lives in one function, [`ChordNetwork`]'s
+//! `peercache_faults::Substrate::step`. [`ChordNetwork::lookup`] is the
+//! repairing walk over it (dead neighbors probed en route are forgotten
+//! afterwards); the simulator's read-only, fault-injected and node-runtime
+//! walks drive the same step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +35,7 @@ mod node;
 pub use network::{ChordConfig, ChordNetwork, NetworkError};
 pub use node::ChordNode;
 
+use peercache_faults::{FaultedRoute, LookupFailure};
 use peercache_id::Id;
 
 /// How a lookup ended.
@@ -62,5 +69,22 @@ impl LookupResult {
     /// Whether the lookup reached the true owner.
     pub fn is_success(&self) -> bool {
         self.outcome == LookupOutcome::Success
+    }
+
+    /// The result of a walk; `None` when its origin was down.
+    fn from_route(route: FaultedRoute) -> Option<Self> {
+        let outcome = match route.outcome {
+            Ok(_) => LookupOutcome::Success,
+            Err(LookupFailure::WrongOwner(at)) => LookupOutcome::WrongOwner(at),
+            Err(LookupFailure::DeadEnd(at)) => LookupOutcome::DeadEnd(at),
+            Err(LookupFailure::HopLimit) => LookupOutcome::HopLimit,
+            Err(LookupFailure::OriginDown(_)) => return None,
+        };
+        Some(LookupResult {
+            outcome,
+            hops: route.trace.hops,
+            failed_probes: route.trace.timeouts,
+            path: route.trace.path,
+        })
     }
 }

@@ -2,11 +2,11 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
+use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 
 use crate::node::ChordNode;
-use crate::{LookupOutcome, LookupResult};
+use crate::LookupResult;
 
 /// Configuration of a Chord deployment.
 #[derive(Clone, Copy, Debug)]
@@ -437,270 +437,56 @@ impl ChordNetwork {
     /// policy: forward to the known neighbor closest to the key among
     /// those between the current node and the key (clockwise). Dead
     /// neighbors probed along the way are forgotten (and counted as
-    /// `failed_probes`), and the next-best candidate is tried.
+    /// `failed_probes`), and the next-best candidate is tried. This is
+    /// the repairing walk ([`Substrate::walk_repairing`]) over the one
+    /// forwarding rule, [`Substrate::step`].
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
     pub fn lookup(&mut self, from: Id, key: Id) -> Result<LookupResult, NetworkError> {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let space = self.config.space;
-        // `from` is live, so the ring is non-empty and every key has an
-        // owner; the else-branch is unreachable but typed.
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(LookupResult {
-                    outcome: LookupOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            // Exact hit: the key is this node's own id, which it owns by
-            // the predecessor-assignment rule.
-            if current == key {
-                return Ok(LookupResult {
-                    outcome: LookupOutcome::Success,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            // Candidates between current and key, closest to the key
-            // first. Forward whenever any live one exists — a node may
-            // only claim ownership when it knows of NOTHING between
-            // itself and the key (its successor pointer might be stale
-            // while a freshly fixed finger already knows better).
-            let mut candidates: Vec<Id> = self.nodes[&current.value()]
-                .known_neighbors()
-                .into_iter()
-                .filter(|&w| space.between_open_closed(current, w, key))
-                .collect();
-            candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-            let mut next = None;
-            for w in candidates {
-                if self.is_live(w) {
-                    next = Some(w);
-                    break;
-                }
-                failed_probes += 1;
-                if let Some(node) = self.nodes.get_mut(&current.value()) {
-                    node.forget(w);
-                }
-            }
-            if let Some(w) = next {
-                hops += 1;
-                path.push(w);
-                current = w;
-                continue;
-            }
-            // No usable candidate. Does `current` believe it owns the
-            // key? Predecessor assignment: keys in [current, successor).
-            let owns = match self.nodes[&current.value()].successor() {
-                None => true, // believes it is alone
-                Some(s) => space.between_closed_open(current, key, s),
-            };
-            let outcome = if current == true_owner {
-                LookupOutcome::Success
-            } else if owns {
-                LookupOutcome::WrongOwner(current)
-            } else {
-                LookupOutcome::DeadEnd(current)
-            };
-            return Ok(LookupResult {
-                outcome,
-                hops,
-                failed_probes,
-                path,
-            });
-        }
+        LookupResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
+            .ok_or(NetworkError::NotPresent(from))
+    }
+}
+
+impl Substrate for ChordNetwork {
+    fn is_live(&self, id: Id) -> bool {
+        ChordNetwork::is_live(self, id)
     }
 
-    /// Read-only [`lookup`](Self::lookup): auxiliary neighbors come from
-    /// `aux_of` instead of the installed per-node sets, and dead entries
-    /// probed along the way are counted as `failed_probes` but **not**
-    /// forgotten (the snapshot is immutable, so a revisited node re-probes
-    /// them). With every node live — the stable-mode contract — the walk
-    /// is hop-for-hop identical to installing each `aux_of` set via
-    /// [`set_aux`](Self::set_aux) and calling `lookup`, which is what lets
-    /// a parallel sweep share one snapshot across threads.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn lookup_with_aux<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-    ) -> Result<LookupResult, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let space = self.config.space;
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(LookupResult {
-                    outcome: LookupOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            if current == key {
-                return Ok(LookupResult {
-                    outcome: LookupOutcome::Success,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            let mut candidates: Vec<Id> = self.nodes[&current.value()]
-                .known_neighbors_with(aux_of(current))
-                .into_iter()
-                .filter(|&w| space.between_open_closed(current, w, key))
-                .collect();
-            candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-            let mut next = None;
-            for w in candidates {
-                if self.is_live(w) {
-                    next = Some(w);
-                    break;
-                }
-                failed_probes += 1;
-            }
-            if let Some(w) = next {
-                hops += 1;
-                path.push(w);
-                current = w;
-                continue;
-            }
-            let owns = match self.nodes[&current.value()].successor() {
-                None => true,
-                Some(s) => space.between_closed_open(current, key, s),
-            };
-            let outcome = if current == true_owner {
-                LookupOutcome::Success
-            } else if owns {
-                LookupOutcome::WrongOwner(current)
-            } else {
-                LookupOutcome::DeadEnd(current)
-            };
-            return Ok(LookupResult {
-                outcome,
-                hops,
-                failed_probes,
-                path,
-            });
-        }
+    fn true_owner(&self, key: Id) -> Option<Id> {
+        ChordNetwork::true_owner(self, key)
     }
 
-    /// Fault-injected read-only lookup: every contact goes through
-    /// `plan`'s probe channel (crash/loss/unresponsive with bounded
-    /// retry), auxiliary pointers are resolved through its staleness
-    /// channel, and the walk records everything in a
-    /// [`RouteTrace`](peercache_faults::RouteTrace).
-    ///
-    /// Degradation semantics mirror [`lookup`](Self::lookup): candidates
-    /// that time out are excluded *locally* (the walk is read-only — a
-    /// repairing caller evicts `trace.dead_probed` afterwards), and the
-    /// final ownership check reads the successor view those exclusions
-    /// leave behind, exactly as `lookup` reads it after forgetting. Under
-    /// a non-transparent plan, the first timed-out **auxiliary-only**
-    /// candidate at a hop falls the decision back to core candidates
-    /// (`trace.fallbacks`); under a transparent plan the walk is
-    /// bit-identical to [`lookup_with_aux`](Self::lookup_with_aux).
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn lookup_with_aux_faults<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-        plan: &FaultPlan,
-    ) -> Result<FaultedRoute, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        if plan.node_crashed(from) {
-            return Ok(FaultedRoute::origin_down(from));
-        }
-        let mut current = from;
-        let mut trace = RouteTrace::start(from);
-        let mut scratch = StepScratch::new();
-        loop {
-            match self.lookup_step_faults(
-                current,
-                key,
-                true_owner,
-                &aux_of,
-                plan,
-                &mut trace,
-                &mut scratch,
-            ) {
-                WalkStep::Forward(next) => {
-                    trace.hops += 1;
-                    trace.path.push(next);
-                    current = next;
-                }
-                WalkStep::Done(outcome) => return Ok(FaultedRoute { outcome, trace }),
-            }
-        }
+    fn installed_aux(&self, id: Id) -> &[Id] {
+        self.nodes
+            .get(&id.value())
+            .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One arrival of [`lookup_with_aux_faults`](Self::lookup_with_aux_faults):
-    /// the full decision made at `current` — hop-budget check, staleness
-    /// resolution of its cached pointers, candidate ranking, and the
-    /// probe loop — ending in a forward or a terminal outcome. The
-    /// monolithic walk and the `peercache-node` event loop both drive
-    /// this same function, so their probe sequences are bit-identical.
-    ///
-    /// The caller owns the hop accounting: on [`WalkStep::Forward`] it
-    /// must charge `trace.hops += 1` and extend `trace.path` before the
-    /// next step. `true_owner` is the owner of `key` computed once per
-    /// walk (see [`true_owner`](Self::true_owner)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn lookup_step_faults<'a, F>(
-        &'a self,
+    /// One Chord arrival: rank the known neighbors between `current` and
+    /// the key by clockwise distance to the key and probe them in order.
+    /// Under a non-transparent plan, the first timed-out
+    /// **auxiliary-only** candidate bans the remaining auxiliary pointers
+    /// at this arrival (`trace.fallbacks`). With no live candidate, the
+    /// node claims ownership iff the key falls before its first
+    /// surviving successor.
+    fn step<'a>(
+        &self,
         current: Id,
         key: Id,
         true_owner: Id,
-        aux_of: F,
+        aux_of: &dyn Fn(Id) -> &'a [Id],
         plan: &FaultPlan,
         trace: &mut RouteTrace,
         scratch: &mut StepScratch,
-    ) -> WalkStep
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
+    ) -> WalkStep {
         let space = self.config.space;
         if trace.hops >= self.config.hop_limit {
             return WalkStep::Done(Err(LookupFailure::HopLimit));
         }
+        // Exact hit: the key is this node's own id, which it owns by the
+        // predecessor-assignment rule.
         if current == key {
             return WalkStep::Done(Ok(current));
         }
@@ -710,37 +496,47 @@ impl ChordNetwork {
         let Some(node) = self.nodes.get(&current.value()) else {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
-        plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
+        let aux = plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
+        // Candidates between current and key, closest to the key first.
+        // Forward whenever any live one exists — a node may only claim
+        // ownership when it knows of NOTHING between itself and the key
+        // (its successor pointer might be stale while a freshly fixed
+        // finger already knows better).
         let mut candidates: Vec<Id> = node
-            .known_neighbors_with(&scratch.aux)
+            .known_neighbors_with(aux)
             .into_iter()
             .filter(|&w| space.between_open_closed(current, w, key))
             .collect();
         candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-        // Sorted core view, for spotting aux-only candidates.
-        let core = node.known_neighbors_with(&[]);
+        // Sorted core view, for spotting aux-only candidates; only a
+        // failed probe under a plan that can fall back needs it.
+        let mut core: Option<Vec<Id>> = None;
         let mut aux_banned = false;
         scratch.dead.clear();
         for w in candidates {
-            let aux_only = core.binary_search(&w).is_err();
-            if aux_banned && aux_only {
+            if aux_banned && core.as_ref().is_some_and(|c| c.binary_search(&w).is_err()) {
                 continue;
             }
             if plan.probe(current, w, trace.hops, self.is_live(w), trace) {
                 return WalkStep::Forward(w);
             }
             scratch.dead.push(w);
-            if aux_only && !aux_banned && !plan.is_transparent() {
-                aux_banned = true;
-                trace.fallbacks += 1;
+            if !aux_banned && !plan.is_transparent() {
+                let core = core.get_or_insert_with(|| node.known_neighbors_with(&[]));
+                if core.binary_search(&w).is_err() {
+                    aux_banned = true;
+                    trace.fallbacks += 1;
+                }
             }
         }
-        // `lookup` forgets the dead candidates it probed before
-        // reading `successor()`; skipping exactly those entries
-        // reproduces that post-repair successor view read-only.
+        // The repairing walk forgets the dead candidates it probed before
+        // anyone reads `successor()` again; skipping exactly those
+        // entries reproduces that post-repair successor view read-only.
         let believed = node.successors.iter().find(|s| !scratch.dead.contains(s));
+        // Predecessor assignment: `current` owns keys in
+        // [current, successor).
         let owns = match believed {
-            None => true,
+            None => true, // believes it is alone
             Some(&s) => space.between_closed_open(current, key, s),
         };
         let outcome = if current == true_owner {
@@ -753,11 +549,7 @@ impl ChordNetwork {
         WalkStep::Done(outcome)
     }
 
-    /// Evict `dead` from `id`'s routing structures. The fault-injected
-    /// walks are read-only, so a repairing caller (the churn driver)
-    /// applies their `dead_probed` pairs here afterwards. No-op when
-    /// `id` is not live.
-    pub fn forget_neighbor(&mut self, id: Id, dead: Id) {
+    fn forget_neighbor(&mut self, id: Id, dead: Id) {
         if let Some(node) = self.nodes.get_mut(&id.value()) {
             node.forget(dead);
         }

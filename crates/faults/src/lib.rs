@@ -9,10 +9,12 @@
 //! SplitMix64-style hash, so the same plan replayed on any thread count
 //! (or any iteration order) produces bit-identical routes.
 //!
-//! The crate deliberately knows nothing about the substrates: the
-//! chord/pastry/tapestry/skipgraph walks call [`FaultPlan::probe`] per
+//! The crate deliberately knows nothing about the substrates: each
+//! chord/pastry/tapestry/skipgraph network implements [`Substrate`],
+//! whose per-arrival [`Substrate::step`] calls [`FaultPlan::probe`] per
 //! contact attempt and [`FaultPlan::resolve_aux`] per cached-pointer
-//! read, and record what happened in a [`RouteTrace`]. All probability
+//! read and records what happened in a [`RouteTrace`]; the one driver
+//! loop, [`walk`], steps it from the origin. All probability
 //! handling happens once at plan construction (an `f64` rate becomes a
 //! 53-bit integer threshold), so the per-probe hot path — and every
 //! caller — is free of floating-point comparisons.
@@ -27,5 +29,5 @@ mod trace;
 
 pub use liveness::Liveness;
 pub use plan::{FaultConfig, FaultPlan};
-pub use step::{StepScratch, WalkStep};
+pub use step::{walk, StepScratch, Substrate, WalkStep};
 pub use trace::{FaultedRoute, LookupFailure, RouteTrace};

@@ -212,17 +212,26 @@ impl FaultPlan {
     }
 
     /// Resolve the cached auxiliary pointers of `owner` through the
-    /// staleness channel into `out` (cleared first). A stale pointer is
-    /// displaced backwards by `1 ..= staleness_age` id units — an id
-    /// that almost never names a live node, so probing it times out and
-    /// exercises the fallback path. The stale/fresh verdict per
-    /// `(owner, pointer)` pair is stable for the whole run.
-    pub fn resolve_aux(&self, space: IdSpace, owner: Id, aux: &[Id], out: &mut Vec<Id>) {
-        out.clear();
+    /// staleness channel. A stale pointer is displaced backwards by
+    /// `1 ..= staleness_age` id units — an id that almost never names a
+    /// live node, so probing it times out and exercises the fallback
+    /// path. The stale/fresh verdict per `(owner, pointer)` pair is
+    /// stable for the whole run.
+    ///
+    /// A plan that corrupts no pointer returns `aux` itself and leaves
+    /// `out` untouched, so the transparent walk copies nothing; otherwise
+    /// the resolved set is written to `out` (cleared first) and returned.
+    pub fn resolve_aux<'a>(
+        &self,
+        space: IdSpace,
+        owner: Id,
+        aux: &'a [Id],
+        out: &'a mut Vec<Id>,
+    ) -> &'a [Id] {
         if !self.corrupts_aux() {
-            out.extend_from_slice(aux);
-            return;
+            return aux;
         }
+        out.clear();
         let o = fold(owner);
         for &ptr in aux {
             let p = fold(ptr);
@@ -233,6 +242,7 @@ impl FaultPlan {
                 out.push(ptr);
             }
         }
+        out
     }
 }
 
@@ -265,8 +275,8 @@ mod tests {
         let space = IdSpace::paper();
         let aux = vec![id(10), id(20)];
         let mut out = Vec::new();
-        plan.resolve_aux(space, id(1), &aux, &mut out);
-        assert_eq!(out, aux);
+        assert_eq!(plan.resolve_aux(space, id(1), &aux, &mut out), aux);
+        assert!(out.is_empty(), "a transparent plan copies nothing");
     }
 
     #[test]
@@ -337,10 +347,9 @@ mod tests {
         let space = IdSpace::paper();
         let aux = vec![id(100), id(200)];
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        plan.resolve_aux(space, id(1), &aux, &mut a);
-        plan.resolve_aux(space, id(1), &aux, &mut b);
-        assert_eq!(a, b);
-        for (&orig, &got) in aux.iter().zip(&a) {
+        let a = plan.resolve_aux(space, id(1), &aux, &mut a);
+        assert_eq!(a, plan.resolve_aux(space, id(1), &aux, &mut b));
+        for (&orig, &got) in aux.iter().zip(a) {
             let shift = space.clockwise_distance(got, orig);
             assert!((1..=8).contains(&shift), "shift = {shift}");
         }

@@ -43,10 +43,13 @@ pub struct RouteTrace {
 }
 
 impl RouteTrace {
-    /// A fresh trace for a walk starting at `origin`.
+    /// A fresh trace for a walk starting at `origin`. The path is sized
+    /// for a few hops up front, so a typical walk never regrows it.
     pub fn start(origin: Id) -> Self {
+        let mut path = Vec::with_capacity(4);
+        path.push(origin);
         RouteTrace {
-            path: vec![origin],
+            path,
             ..RouteTrace::default()
         }
     }

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! L9  crates/core/src/chord/fast.rs    solve_into
-//! L10 crates/chord/src/network.rs      lookup_with_aux_faults
+//! L10 crates/faults/src/step.rs        walk
 //! L11 crates/sim/src/stable.rs         run_stable
 //! ```
 //!

@@ -232,14 +232,15 @@ impl Rule {
             Rule::L10 => {
                 "L10 — no panic construct (`unwrap`, `expect`, `panic!`, \
                  `unreachable!`, `todo!`, `unimplemented!`, direct `[i]` indexing) in \
-                 any function reachable from the fault walks \
-                 (`*_with_aux_faults`).\n\nPR 5's pastry `proximity()` panic on a \
-                 stale pointer is the bug class: a fault walk exists to *measure* \
-                 degraded routing (DESIGN.md §10 \"Fault model & degradation \
-                 semantics\"), so every state a fault plan can corrupt — dead \
-                 neighbors, stale auxiliary pointers, unknown ids — must degrade to a \
-                 typed `LookupFailure`, never abort the sweep. The interprocedural \
-                 pass (DESIGN.md \"Interprocedural pass: call graph & reachability\") \
+                 any function reachable from the routing walk (the `walk` driver \
+                 and each substrate's `Substrate::step`).\n\nA pastry \
+                 `proximity()` panic on a stale pointer is the bug class: a fault \
+                 walk exists to *measure* degraded routing (DESIGN.md §10 \"Fault \
+                 model & degradation semantics\"), so every state a fault plan can \
+                 corrupt — dead neighbors, stale auxiliary pointers, unknown ids — \
+                 must degrade to a typed `LookupFailure`, never abort the sweep. The \
+                 interprocedural pass (DESIGN.md \"Interprocedural pass: call graph \
+                 & reachability\") \
                  walks the call graph from the `L10` roots in `lint.roots`; a \
                  `.expect(\"proof\")` whose message states why the failure is \
                  unreachable may be admitted through a reviewed `lint.allow` budget, \

@@ -1,16 +1,17 @@
 //! A deterministic in-process node runtime with a persistent peer store.
 //!
-//! The simulation crates route lookups as monolithic walks — one
-//! function call per query, the whole route decided inside it. This
-//! crate promotes the same substrates to *live nodes* exchanging typed
-//! messages ([`Message`]: `Join` / `Lookup` / `Probe` / `Refresh`) over
-//! a seeded virtual clock: each lookup advances one arrival per
-//! delivered message through the substrate step functions
-//! (`peercache_faults::WalkStep`), and every delivery passes through the
-//! same [`FaultPlan`](peercache_faults::FaultPlan) the sim walks use.
+//! The simulation crates route lookups through one driver loop,
+//! `peercache_faults::walk` — one function call per query, the whole
+//! route decided inside it. This crate promotes the same substrates to
+//! *live nodes* exchanging typed messages ([`Message`]: `Join` /
+//! `Lookup` / `Probe` / `Refresh`) over a seeded virtual clock: each
+//! lookup advances one arrival per delivered message through the same
+//! per-substrate step (`peercache_faults::Substrate::step`), and every
+//! delivery passes through the same
+//! [`FaultPlan`](peercache_faults::FaultPlan) the sim walks use.
 //! Because every fault decision is a pure hash of
 //! `(seed, ids, hop, attempt)`, the runtime's probe sequences — and
-//! therefore its metrics — are bit-identical to the monolithic walks'
+//! therefore its metrics — are bit-identical to the driver loop's
 //! (the `runtime_vs_sim` differential battery enforces it across all
 //! four substrates).
 //!

@@ -9,8 +9,8 @@
 //! tick. Every fault decision — join admission, probe verdicts, stale
 //! pointers — comes from the run's [`FaultPlan`], whose decisions are
 //! pure hashes with no internal state. Consequence: the per-query
-//! [`RouteTrace`]s produced here are **bit-identical** to the
-//! monolithic sim walks' for the same overlay, plan, and query list, at
+//! [`RouteTrace`]s produced here are **bit-identical** to the sim's
+//! driver loop's for the same overlay, plan, and query list, at
 //! any thread count and regardless of how many lookups are in flight —
 //! the interleaving cannot leak between queries because all shared
 //! state (overlay snapshot, aux tables, plan) is immutable during
@@ -278,8 +278,8 @@ impl<'net> NodeRuntime<'net> {
 
     fn deliver_lookup(&mut self, mut job: LookupJob) {
         // Origin checks, once, at the first arrival: an unjoined origin
-        // (substrate-dead or plan-crashed) fails OriginDown — the union
-        // of the sim walks' NotPresent and node_crashed origin arms.
+        // (substrate-dead or plan-crashed) fails OriginDown, exactly as
+        // the sim's `walk` driver fails it.
         if job.trace.hops == 0
             && job.current == job.origin
             && self.joined.binary_search(&job.origin).is_err()

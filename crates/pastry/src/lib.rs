@@ -18,6 +18,14 @@
 //!   uniform random coordinates on the unit square, FreePastry's own
 //!   simulation-mode topology. [`RoutingMode::GreedyPrefix`] instead takes
 //!   the candidate closest to the key (the paper's Chord-style tiebreak).
+//!
+//! The forwarding rule lives in one function, [`PastryNetwork`]'s
+//! `peercache_faults::Substrate::step`: a probe that times out excludes
+//! the hop and the decision re-runs. [`PastryNetwork::route`] is the
+//! repairing walk over it (excluded entries are forgotten afterwards);
+//! the simulator's read-only, fault-injected and node-runtime walks drive
+//! the same step. [`PastryArena`] is the scale tier's separate virtual
+//! walk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +38,7 @@ pub use arena::{ArenaRoute, ArenaScratch, PastryArena};
 pub use network::{NetworkError, PastryConfig, PastryNetwork};
 pub use node::PastryNode;
 
+use peercache_faults::{FaultedRoute, LookupFailure};
 use peercache_id::Id;
 
 /// Next-hop tie-breaking policy (§VI-D).
@@ -74,5 +83,22 @@ impl RouteResult {
     /// Whether the route reached the true owner.
     pub fn is_success(&self) -> bool {
         self.outcome == RouteOutcome::Success
+    }
+
+    /// The result of a walk; `None` when its origin was down.
+    fn from_route(route: FaultedRoute) -> Option<Self> {
+        let outcome = match route.outcome {
+            Ok(_) => RouteOutcome::Success,
+            Err(LookupFailure::WrongOwner(at)) => RouteOutcome::WrongOwner(at),
+            Err(LookupFailure::DeadEnd(at)) => RouteOutcome::DeadEnd(at),
+            Err(LookupFailure::HopLimit) => RouteOutcome::HopLimit,
+            Err(LookupFailure::OriginDown(_)) => return None,
+        };
+        Some(RouteResult {
+            outcome,
+            hops: route.trace.hops,
+            failed_probes: route.trace.timeouts,
+            path: route.trace.path,
+        })
     }
 }

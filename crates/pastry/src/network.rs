@@ -2,12 +2,12 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
+use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 use rand::Rng;
 
 use crate::node::PastryNode;
-use crate::{RouteOutcome, RouteResult, RoutingMode};
+use crate::{RouteResult, RoutingMode};
 
 /// A point in the synthetic proximity space (FreePastry's simulation-mode
 /// topology: the unit square with Euclidean latency).
@@ -465,330 +465,27 @@ impl PastryNetwork {
     // ---- routing -----------------------------------------------------------
 
     /// Route a query for `key` from `from` under the configured
-    /// [`RoutingMode`].
+    /// [`RoutingMode`]: the repairing walk
+    /// ([`Substrate::walk_repairing`]) over the one forwarding rule,
+    /// [`Substrate::step`]. Dead entries probed along the way are
+    /// forgotten (and counted as `failed_probes`) and the decision
+    /// re-runs without them.
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
     pub fn route(&mut self, from: Id, key: Id) -> Result<RouteResult, NetworkError> {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        // `from` is live, so the overlay is non-empty and the key has an
-        // owner; the else-branch is unreachable but typed.
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(RouteResult {
-                    outcome: RouteOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            match self.next_hop(current, key) {
-                None => {
-                    let outcome = if current == true_owner {
-                        RouteOutcome::Success
-                    } else if self.nodes[&current.value()]
-                        .known_neighbors()
-                        .iter()
-                        .any(|&w| {
-                            (self.ring_abs(w, key), w.value())
-                                < (self.ring_abs(current, key), current.value())
-                        })
-                    {
-                        // A strictly closer node is known but unusable
-                        // under the forwarding rule — counts as a dead end
-                        // rather than a wrong claim of ownership.
-                        RouteOutcome::DeadEnd(current)
-                    } else {
-                        RouteOutcome::WrongOwner(current)
-                    };
-                    return Ok(RouteResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-                Some(next) => {
-                    if self.is_live(next) {
-                        hops += 1;
-                        path.push(next);
-                        current = next;
-                    } else {
-                        failed_probes += 1;
-                        if let Some(node) = self.nodes.get_mut(&current.value()) {
-                            node.forget(next);
-                        }
-                    }
-                }
-            }
-        }
+        RouteResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
+            .ok_or(NetworkError::NotPresent(from))
     }
 
-    /// Read-only [`route`](Self::route): auxiliary neighbors come from
-    /// `aux_of` instead of the installed per-node sets, and dead entries
-    /// probed along the way are counted as `failed_probes` but **not**
-    /// forgotten. With every node live — the stable-mode contract — the
-    /// walk is hop-for-hop identical to installing each `aux_of` set via
-    /// [`set_aux`](Self::set_aux) and calling `route`, which lets a
-    /// parallel sweep share one snapshot across threads. A dead next hop
-    /// is a hard dead end here (the snapshot cannot repair around it).
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn route_with_aux<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-    ) -> Result<RouteResult, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(RouteResult {
-                    outcome: RouteOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            match self.next_hop_with(current, key, aux_of(current)) {
-                None => {
-                    let outcome = if current == true_owner {
-                        RouteOutcome::Success
-                    } else if self.nodes[&current.value()]
-                        .known_neighbors_with(aux_of(current))
-                        .iter()
-                        .any(|&w| {
-                            (self.ring_abs(w, key), w.value())
-                                < (self.ring_abs(current, key), current.value())
-                        })
-                    {
-                        RouteOutcome::DeadEnd(current)
-                    } else {
-                        RouteOutcome::WrongOwner(current)
-                    };
-                    return Ok(RouteResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-                Some(next) => {
-                    if self.is_live(next) {
-                        hops += 1;
-                        path.push(next);
-                        current = next;
-                    } else {
-                        // The forwarding rule would re-select this dead
-                        // entry forever on an immutable snapshot; count
-                        // the probe and stop here.
-                        failed_probes += 1;
-                        return Ok(RouteResult {
-                            outcome: RouteOutcome::DeadEnd(current),
-                            hops,
-                            failed_probes,
-                            path,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fault-injected read-only [`route`](Self::route): every contact
-    /// goes through `plan`'s probe channel (crash/loss/unresponsive with
-    /// bounded retry), auxiliary pointers are resolved through its
-    /// staleness channel, and the walk records everything in a
-    /// [`RouteTrace`](peercache_faults::RouteTrace).
-    ///
-    /// Unlike [`route_with_aux`](Self::route_with_aux) — which stops hard
-    /// at the first dead next hop — this mirrors the *mutating* walk's
-    /// degradation semantics: a timed-out hop is excluded (the read-only
-    /// stand-in for `forget`; a repairing caller evicts
-    /// `trace.dead_probed` afterwards) and the decision re-runs. Under a
-    /// non-transparent plan, the first timed-out **auxiliary-only**
-    /// candidate at a node bans the remaining auxiliary pointers there,
-    /// falling back to core routing state (`trace.fallbacks`); under a
-    /// transparent plan the walk is bit-identical to `route_with_aux`.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn route_with_aux_faults<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-        plan: &FaultPlan,
-    ) -> Result<FaultedRoute, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        if plan.node_crashed(from) {
-            return Ok(FaultedRoute::origin_down(from));
-        }
-        let mut current = from;
-        let mut trace = RouteTrace::start(from);
-        let mut scratch = StepScratch::new();
-        loop {
-            match self.route_step_faults(
-                current,
-                key,
-                true_owner,
-                &aux_of,
-                plan,
-                &mut trace,
-                &mut scratch,
-            ) {
-                WalkStep::Forward(next) => {
-                    trace.hops += 1;
-                    trace.path.push(next);
-                    current = next;
-                }
-                WalkStep::Done(outcome) => return Ok(FaultedRoute { outcome, trace }),
-            }
-        }
-    }
-
-    /// One arrival of [`route_with_aux_faults`](Self::route_with_aux_faults):
-    /// the full decision made at `current` — hop-budget check, staleness
-    /// resolution of its cached pointers, and the decide/probe loop with
-    /// its aux→core fallback — ending in a forward or a terminal outcome.
-    /// The monolithic walk and the `peercache-node` event loop both drive
-    /// this same function, so their probe sequences are bit-identical.
-    ///
-    /// The caller owns the hop accounting: on [`WalkStep::Forward`] it
-    /// must charge `trace.hops += 1` and extend `trace.path` before the
-    /// next step. `true_owner` is the owner of `key` computed once per
-    /// walk (see [`true_owner`](Self::true_owner)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_step_faults<'a, F>(
-        &'a self,
-        current: Id,
-        key: Id,
-        true_owner: Id,
-        aux_of: F,
-        plan: &FaultPlan,
-        trace: &mut RouteTrace,
-        scratch: &mut StepScratch,
-    ) -> WalkStep
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if trace.hops >= self.config.hop_limit {
-            return WalkStep::Done(Err(LookupFailure::HopLimit));
-        }
-        plan.resolve_aux(
-            self.config.space,
-            current,
-            aux_of(current),
-            &mut scratch.aux,
-        );
-        let mut aux_banned = false;
-        loop {
-            let extra: &[Id] = if aux_banned { &[] } else { &scratch.aux };
-            match self.next_hop_excluding(current, key, extra, &trace.dead_probed) {
-                None => {
-                    let excluded = |w: Id| {
-                        trace
-                            .dead_probed
-                            .iter()
-                            .any(|&(p, t)| p == current && t == w)
-                    };
-                    let outcome = if current == true_owner {
-                        Ok(current)
-                    } else if self.nodes.get(&current.value()).is_some_and(|node| {
-                        node.known_neighbors_with(extra).iter().any(|&w| {
-                            !excluded(w)
-                                && (self.ring_abs(w, key), w.value())
-                                    < (self.ring_abs(current, key), current.value())
-                        })
-                    }) {
-                        Err(LookupFailure::DeadEnd(current))
-                    } else {
-                        Err(LookupFailure::WrongOwner(current))
-                    };
-                    return WalkStep::Done(outcome);
-                }
-                Some(next) => {
-                    if plan.probe(current, next, trace.hops, self.is_live(next), trace) {
-                        return WalkStep::Forward(next);
-                    } else if !plan.is_transparent() && !aux_banned {
-                        // Probe failure already excluded `next` via
-                        // `trace.dead_probed`; if it was a cached pointer
-                        // (absent from the core tables), ban the rest of
-                        // the aux set here and fall back to core state.
-                        let core = self
-                            .nodes
-                            .get(&current.value())
-                            .map(|node| node.known_neighbors_with(&[]))
-                            .unwrap_or_default();
-                        if core.binary_search(&next).is_err() {
-                            aux_banned = true;
-                            trace.fallbacks += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Evict `dead` from `id`'s routing structures. The fault-injected
-    /// walks are read-only, so a repairing caller (the churn driver)
-    /// applies their `dead_probed` pairs here afterwards. No-op when
-    /// `id` is not live.
-    pub fn forget_neighbor(&mut self, id: Id, dead: Id) {
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
-            node.forget(dead);
-        }
-    }
-
-    /// The forwarding decision at `current` for `key` (None = `current`
-    /// believes it is the destination).
-    fn next_hop(&self, current: Id, key: Id) -> Option<Id> {
-        self.next_hop_with(current, key, &self.nodes[&current.value()].aux)
-    }
-
-    /// [`next_hop`](Self::next_hop) with `extra` standing in for the
-    /// auxiliary set of `current`.
-    fn next_hop_with(&self, current: Id, key: Id, extra: &[Id]) -> Option<Id> {
-        self.next_hop_excluding(current, key, extra, &[])
-    }
-
-    /// The forwarding decision with `dead` exclusions applied: every
-    /// `(prober, target)` pair with `prober == current` is treated as
-    /// already forgotten. This is how the read-only fault-injected walk
-    /// reproduces the mutating walk's forget-and-retry semantics — the
-    /// mutating walk erases a timed-out entry from `current`'s tables
-    /// and re-decides; this filters it instead. With no exclusions the
-    /// decision is exactly [`next_hop_with`](Self::next_hop_with).
+    /// The forwarding decision at `current` for `key`, with `extra`
+    /// standing in for the auxiliary set of `current` (`None` =
+    /// `current` believes it is the destination). Every
+    /// `(prober, target)` pair in `dead` with `prober == current` is
+    /// treated as already forgotten: the read-only walk filters a
+    /// timed-out entry instead of erasing it from `current`'s tables, so
+    /// a repairing caller that evicts the pairs afterwards ends with the
+    /// tables the walk routed over.
     fn next_hop_excluding(
         &self,
         current: Id,
@@ -875,5 +572,106 @@ impl PastryNetwork {
             .filter(|&c| c < cur_key)
             .min()
             .map(|(_, w)| Id::new(w))
+    }
+}
+
+impl Substrate for PastryNetwork {
+    fn is_live(&self, id: Id) -> bool {
+        PastryNetwork::is_live(self, id)
+    }
+
+    fn true_owner(&self, key: Id) -> Option<Id> {
+        PastryNetwork::true_owner(self, key)
+    }
+
+    fn installed_aux(&self, id: Id) -> &[Id] {
+        self.nodes
+            .get(&id.value())
+            .map_or(&[], |n| n.aux.as_slice())
+    }
+
+    /// One Pastry arrival: decide the next hop (leaf-set short-circuit,
+    /// then prefix progress, then numerical progress) and probe it; a
+    /// timed-out hop is excluded and the decision re-runs. Under a
+    /// non-transparent plan, the first timed-out **auxiliary-only** hop
+    /// bans the remaining auxiliary pointers at this node, falling back
+    /// to core routing state (`trace.fallbacks`). With no hop left, a
+    /// node that still knows a strictly closer (unexcluded) node is a
+    /// dead end; otherwise it wrongly claims ownership.
+    fn step<'a>(
+        &self,
+        current: Id,
+        key: Id,
+        true_owner: Id,
+        aux_of: &dyn Fn(Id) -> &'a [Id],
+        plan: &FaultPlan,
+        trace: &mut RouteTrace,
+        scratch: &mut StepScratch,
+    ) -> WalkStep {
+        if trace.hops >= self.config.hop_limit {
+            return WalkStep::Done(Err(LookupFailure::HopLimit));
+        }
+        let aux = plan.resolve_aux(
+            self.config.space,
+            current,
+            aux_of(current),
+            &mut scratch.aux,
+        );
+        let mut aux_banned = false;
+        loop {
+            let extra: &[Id] = if aux_banned { &[] } else { aux };
+            match self.next_hop_excluding(current, key, extra, &trace.dead_probed) {
+                None => {
+                    let excluded = |w: Id| {
+                        trace
+                            .dead_probed
+                            .iter()
+                            .any(|&(p, t)| p == current && t == w)
+                    };
+                    let outcome = if current == true_owner {
+                        Ok(current)
+                    } else if self.nodes.get(&current.value()).is_some_and(|node| {
+                        node.known_neighbors_with(extra).iter().any(|&w| {
+                            !excluded(w)
+                                && (self.ring_abs(w, key), w.value())
+                                    < (self.ring_abs(current, key), current.value())
+                        })
+                    }) {
+                        // A strictly closer node is known but unusable
+                        // under the forwarding rule — a dead end rather
+                        // than a wrong claim of ownership.
+                        Err(LookupFailure::DeadEnd(current))
+                    } else {
+                        Err(LookupFailure::WrongOwner(current))
+                    };
+                    return WalkStep::Done(outcome);
+                }
+                Some(next) => {
+                    if plan.probe(current, next, trace.hops, self.is_live(next), trace) {
+                        return WalkStep::Forward(next);
+                    } else if !plan.is_transparent() && !aux_banned {
+                        // Probe failure already excluded `next` via
+                        // `trace.dead_probed`; if it was a cached pointer
+                        // (absent from the core tables), ban the rest of
+                        // the aux set here and fall back to core state.
+                        let core = self
+                            .nodes
+                            .get(&current.value())
+                            .map(|node| node.known_neighbors_with(&[]))
+                            .unwrap_or_default();
+                        if core.binary_search(&next).is_err() {
+                            aux_banned = true;
+                            trace.fallbacks += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn forget_neighbor(&mut self, id: Id, dead: Id) {
+        if let Some(node) = self.nodes.get_mut(&id.value()) {
+            node.forget(dead);
+        }
     }
 }

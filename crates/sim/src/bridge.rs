@@ -3,7 +3,7 @@
 //!
 //! `run_stable` builds a frozen overlay snapshot, both strategies'
 //! auxiliary selections, and a seeded query stream, then routes every
-//! query through the monolithic fault walks. The `peercache-node`
+//! query through the fault walk's driver loop. The `peercache-node`
 //! runtime routes the *same* queries hop by hop as `Lookup` messages
 //! instead. For the differential between the two to be byte-exact, both
 //! must consume identical inputs — so this module exposes the driver's

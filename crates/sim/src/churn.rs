@@ -150,9 +150,9 @@ pub fn run_churn_once(config: &ChurnConfig, strategy: Strategy) -> QueryMetrics 
 ///
 /// Every probe — including the plain "is this neighbor alive" check the
 /// pre-fault driver did ad hoc — goes through the walk's
-/// [`FaultPlan`] channel; dead neighbors discovered en route are evicted
-/// from the prober's tables afterwards, exactly like the mutating walks'
-/// in-route `forget`.
+/// [`FaultPlan`] channel, and the query runs the substrates' repairing
+/// walk (`Substrate::walk_repairing`): dead neighbors discovered en route
+/// are evicted from the prober's tables afterwards.
 ///
 /// # Panics
 /// Panics on nonsensical configurations (zero nodes, non-positive rates).
@@ -259,12 +259,9 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
                 let origin_idx = liveness.live_at(rng_queries.gen_range(0..liveness.live_count()));
                 let item = workloads[origin_idx].sample_item(&mut rng_queries);
                 let key = catalog.key(item);
-                let route = overlay.query_faulted(node_ids[origin_idx], key, &plan);
                 // Neighbors that timed out are evicted from their
-                // prober's tables, as the mutating walks do in-route.
-                for &(prober, dead) in &route.trace.dead_probed {
-                    overlay.forget_entry(prober, dead);
-                }
+                // prober's tables.
+                let route = overlay.query_repairing(node_ids[origin_idx], key, &plan);
                 if route.is_success() {
                     // Every node that saw the query — origin and
                     // forwarders alike — learns which node held the item

@@ -93,7 +93,7 @@ pub struct FaultMatrixCell {
 
 /// Run the full fault matrix: every `(loss, stale, crash)` grid point,
 /// fanned out over the worker pool, each cell routing the identical
-/// query stream through the fault-wrapped walks under all three
+/// query stream through the fault walk under all three
 /// strategies.
 ///
 /// Cell order is the nested loop order `loss → stale → crash`; the

@@ -5,7 +5,8 @@
 use peercache_chord::{ChordConfig, ChordNetwork};
 use peercache_core::{baseline, chord, pastry, Candidate, ChordProblem, PastryProblem};
 use peercache_core::{SelectError, Selection};
-use peercache_faults::{FaultPlan, FaultedRoute, RouteTrace, StepScratch, WalkStep};
+use peercache_faults::{walk, FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch};
+use peercache_faults::{Substrate, WalkStep};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_pastry::{PastryConfig, PastryNetwork, RoutingMode};
@@ -44,6 +45,17 @@ pub struct QueryOutcome {
     pub hops: u32,
     /// Dead-neighbor probes (timeouts).
     pub failed_probes: u32,
+}
+
+impl QueryOutcome {
+    /// The outcome of a walk: a down origin is a zero-hop failure.
+    fn of(route: &FaultedRoute) -> Self {
+        QueryOutcome {
+            success: route.is_success(),
+            hops: route.trace.hops,
+            failed_probes: route.trace.timeouts,
+        }
+    }
 }
 
 /// Reusable per-thread selection scratch: one solver workspace per family
@@ -145,22 +157,12 @@ impl SimOverlay {
 
     /// Whether `id` is live.
     pub fn is_live(&self, id: Id) -> bool {
-        match self {
-            SimOverlay::Chord(net) => net.is_live(id),
-            SimOverlay::Pastry(net) => net.is_live(id),
-            SimOverlay::Tapestry(net) => net.is_live(id),
-            SimOverlay::SkipGraph(net) => net.is_live(id),
-        }
+        self.substrate().is_live(id)
     }
 
     /// The node owning `key` under the overlay's assignment rule.
     pub fn true_owner(&self, key: Id) -> Option<Id> {
-        match self {
-            SimOverlay::Chord(net) => net.true_owner(key),
-            SimOverlay::Pastry(net) => net.true_owner(key),
-            SimOverlay::Tapestry(net) => net.true_owner(key),
-            SimOverlay::SkipGraph(net) => net.true_owner(key),
-        }
+        self.substrate().true_owner(key)
     }
 
     /// The core neighbor set `N_s` of `node`.
@@ -225,36 +227,55 @@ impl SimOverlay {
         }
     }
 
+    /// The overlay as the routing walk sees it.
+    fn substrate(&self) -> &dyn Substrate {
+        match self {
+            SimOverlay::Chord(net) => net,
+            SimOverlay::Pastry(net) => net,
+            SimOverlay::Tapestry(net) => net,
+            SimOverlay::SkipGraph(net) => net,
+        }
+    }
+
+    /// [`substrate`](Self::substrate), for the repairing walk.
+    fn substrate_mut(&mut self) -> &mut dyn Substrate {
+        match self {
+            SimOverlay::Chord(net) => net,
+            SimOverlay::Pastry(net) => net,
+            SimOverlay::Tapestry(net) => net,
+            SimOverlay::SkipGraph(net) => net,
+        }
+    }
+
     /// Route one query from `from` for `key`.
     pub fn query(&mut self, from: Id, key: Id) -> QueryOutcome {
         self.query_with_path(from, key).0
     }
 
-    /// Route one query, also returning the nodes it visited (used by the
-    /// churn driver: every node that *sees* a query — origin or forwarder
-    /// — learns the access, §III).
+    /// Route one query over the installed auxiliary sets, evicting every
+    /// dead neighbor it probed, and also return the nodes it visited
+    /// (used by the churn driver: every node that *sees* a query —
+    /// origin or forwarder — learns the access, §III).
     ///
     /// Total: a dead origin yields a failed outcome with an empty path.
     /// Drivers only issue queries from live origins, so that arm is never
     /// taken in practice.
     pub fn query_with_path(&mut self, from: Id, key: Id) -> (QueryOutcome, Vec<Id>) {
-        self.try_query_with_path(from, key).unwrap_or((
-            QueryOutcome {
-                success: false,
-                hops: 0,
-                failed_probes: 0,
-            },
-            Vec::new(),
-        ))
+        let mut route = self.query_repairing(from, key, &FaultPlan::transparent(0));
+        if route.outcome == Err(LookupFailure::OriginDown(from)) {
+            route.trace.path.clear();
+        }
+        (QueryOutcome::of(&route), route.trace.path)
     }
 
     /// Route one query **read-only**, resolving each node's auxiliary set
     /// through `aux_of` instead of the installed per-node state. This is
     /// the stable driver's hot path: all measurement passes share one
     /// immutable snapshot (no clone, no `set_aux`), so they can run on
-    /// parallel threads over `&self`. Dead entries probed along the way
-    /// are counted but not repaired; with every node live the walk is
-    /// identical to `set_aux` + [`query`](Self::query).
+    /// parallel threads over `&self`. A dead neighbor probed along the
+    /// way is excluded and the decision re-runs, exactly as in
+    /// [`query`](Self::query), but nothing is evicted: the walk is
+    /// identical to `set_aux` + [`query`](Self::query) on a clone.
     ///
     /// Total like [`query_with_path`](Self::query_with_path): a dead
     /// origin yields a failed outcome.
@@ -262,49 +283,19 @@ impl SimOverlay {
     where
         F: Fn(Id) -> &'a [Id],
     {
-        let routed = match self {
-            SimOverlay::Chord(net) => net
-                .lookup_with_aux(from, key, aux_of)
-                .ok()
-                .map(|r| (r.is_success(), r.hops, r.failed_probes)),
-            SimOverlay::Pastry(net) => net
-                .route_with_aux(from, key, aux_of)
-                .ok()
-                .map(|r| (r.is_success(), r.hops, r.failed_probes)),
-            SimOverlay::Tapestry(net) => net
-                .route_with_aux(from, key, aux_of)
-                .ok()
-                .map(|r| (r.is_success(), r.hops, r.failed_probes)),
-            SimOverlay::SkipGraph(net) => net
-                .search_with_aux(from, key, aux_of)
-                .ok()
-                .map(|r| (r.is_success(), r.hops, r.failed_probes)),
-        };
-        match routed {
-            Some((success, hops, failed_probes)) => QueryOutcome {
-                success,
-                hops,
-                failed_probes,
-            },
-            None => QueryOutcome {
-                success: false,
-                hops: 0,
-                failed_probes: 0,
-            },
-        }
+        QueryOutcome::of(&self.query_with_aux_faults(from, key, aux_of, &FaultPlan::transparent(0)))
     }
 
     /// Route one query **read-only** through the fault layer: every
     /// contact goes through `plan`'s probe channel and each node's
     /// auxiliary pointers are resolved via `aux_of` and `plan`'s
-    /// staleness channel. With a transparent plan this is bit-identical
-    /// to [`query_with_aux`](Self::query_with_aux) (the differential
-    /// tests enforce it); with faults the walk degrades per the
-    /// substrate's retry/fallback semantics and reports a full
-    /// [`RouteTrace`](peercache_faults::RouteTrace).
+    /// staleness channel. With a transparent plan this is
+    /// [`query_with_aux`](Self::query_with_aux) with its full
+    /// [`RouteTrace`]; with faults the walk degrades per the substrate's
+    /// retry/fallback semantics.
     ///
     /// Total: a substrate-dead or plan-crashed origin yields
-    /// [`LookupFailure::OriginDown`](peercache_faults::LookupFailure::OriginDown).
+    /// [`LookupFailure::OriginDown`].
     pub fn query_with_aux_faults<'a, F>(
         &'a self,
         from: Id,
@@ -315,22 +306,15 @@ impl SimOverlay {
     where
         F: Fn(Id) -> &'a [Id],
     {
-        let routed = match self {
-            SimOverlay::Chord(net) => net.lookup_with_aux_faults(from, key, aux_of, plan).ok(),
-            SimOverlay::Pastry(net) => net.route_with_aux_faults(from, key, aux_of, plan).ok(),
-            SimOverlay::Tapestry(net) => net.route_with_aux_faults(from, key, aux_of, plan).ok(),
-            SimOverlay::SkipGraph(net) => net.search_with_aux_faults(from, key, aux_of, plan).ok(),
-        };
-        routed.unwrap_or_else(|| FaultedRoute::origin_down(from))
+        walk(self.substrate(), from, key, aux_of, plan)
     }
 
     /// One arrival of [`query_with_aux_faults`](Self::query_with_aux_faults):
-    /// the decision the substrate makes at `current` for `key`, through
-    /// the same per-hop step functions the monolithic walks drive. The
+    /// the substrate's [`Substrate::step`] at `current` for `key`. The
     /// `peercache-node` event loop delivers one arrival per `Lookup`
     /// message; because every fault decision in `plan` is a pure hash,
     /// the resulting probe sequence — and trace — is bit-identical to
-    /// the monolithic walk's.
+    /// the driver loop's.
     ///
     /// The caller owns the origin checks (substrate-dead or plan-crashed
     /// origin → `OriginDown`) and the hop accounting on
@@ -351,95 +335,23 @@ impl SimOverlay {
     where
         F: Fn(Id) -> &'a [Id],
     {
-        match self {
-            SimOverlay::Chord(net) => {
-                net.lookup_step_faults(current, key, true_owner, aux_of, plan, trace, scratch)
-            }
-            SimOverlay::Pastry(net) => {
-                net.route_step_faults(current, key, true_owner, aux_of, plan, trace, scratch)
-            }
-            SimOverlay::Tapestry(net) => {
-                net.route_step_faults(current, key, true_owner, aux_of, plan, trace, scratch)
-            }
-            SimOverlay::SkipGraph(net) => {
-                net.search_step_faults(current, key, true_owner, aux_of, plan, trace, scratch)
-            }
-        }
+        self.substrate()
+            .step(current, key, true_owner, &aux_of, plan, trace, scratch)
     }
 
     /// [`query_with_aux_faults`](Self::query_with_aux_faults) over the
-    /// **installed** per-node auxiliary sets — the churn driver's route
-    /// path, where `set_aux` state is live and there is no side table.
+    /// **installed** per-node auxiliary sets, where `set_aux` state is
+    /// live and there is no side table; read-only, so it evicts nothing.
     pub fn query_faulted(&self, from: Id, key: Id, plan: &FaultPlan) -> FaultedRoute {
-        match self {
-            SimOverlay::Chord(net) => self.query_with_aux_faults(
-                from,
-                key,
-                |id| net.node(id).map_or(&[] as &[Id], |n| n.aux.as_slice()),
-                plan,
-            ),
-            SimOverlay::Pastry(net) => self.query_with_aux_faults(
-                from,
-                key,
-                |id| net.node(id).map_or(&[] as &[Id], |n| n.aux.as_slice()),
-                plan,
-            ),
-            SimOverlay::Tapestry(net) => self.query_with_aux_faults(
-                from,
-                key,
-                |id| net.node(id).map_or(&[] as &[Id], |n| n.aux.as_slice()),
-                plan,
-            ),
-            SimOverlay::SkipGraph(net) => self.query_with_aux_faults(
-                from,
-                key,
-                |id| net.node(id).map_or(&[] as &[Id], |n| n.aux.as_slice()),
-                plan,
-            ),
-        }
+        let net = self.substrate();
+        walk(net, from, key, |id| net.installed_aux(id), plan)
     }
 
-    /// Evict `dead` from `node`'s routing structures — how a driver
-    /// applies a fault walk's `dead_probed` pairs (the read-only stand-in
-    /// for the mutating walks' in-route `forget`).
-    pub fn forget_entry(&mut self, node: Id, dead: Id) {
-        match self {
-            SimOverlay::Chord(net) => net.forget_neighbor(node, dead),
-            SimOverlay::Pastry(net) => net.forget_neighbor(node, dead),
-            SimOverlay::Tapestry(net) => net.forget_neighbor(node, dead),
-            SimOverlay::SkipGraph(net) => net.forget_neighbor(node, dead),
-        }
-    }
-
-    /// Fallible query routing: `None` when `from` is not live. All the
-    /// overlay-specific result shapes collapse into one outcome here.
-    fn try_query_with_path(&mut self, from: Id, key: Id) -> Option<(QueryOutcome, Vec<Id>)> {
-        let (success, hops, failed_probes, path) = match self {
-            SimOverlay::Chord(net) => {
-                let res = net.lookup(from, key).ok()?;
-                (res.is_success(), res.hops, res.failed_probes, res.path)
-            }
-            SimOverlay::Pastry(net) => {
-                let res = net.route(from, key).ok()?;
-                (res.is_success(), res.hops, res.failed_probes, res.path)
-            }
-            SimOverlay::Tapestry(net) => {
-                let res = net.route(from, key).ok()?;
-                (res.is_success(), res.hops, res.failed_probes, res.path)
-            }
-            SimOverlay::SkipGraph(net) => {
-                let res = net.search(from, key).ok()?;
-                (res.is_success(), res.hops, res.failed_probes, res.path)
-            }
-        };
-        Some((
-            QueryOutcome {
-                success,
-                hops,
-                failed_probes,
-            },
-            path,
-        ))
+    /// [`query_faulted`](Self::query_faulted), then evict every neighbor
+    /// that timed out from its prober's tables — the churn driver's route
+    /// path ([`Substrate::walk_repairing`]).
+    pub fn query_repairing(&mut self, from: Id, key: Id, plan: &FaultPlan) -> FaultedRoute {
+        self.substrate_mut().walk_repairing(from, key, plan)
     }
 
     /// The validated identifier space the overlay was built over —

@@ -119,9 +119,9 @@ pub struct StableReport {
 /// Everything a measurement pass needs, built once per run: the frozen
 /// overlay snapshot plus both strategies' selected auxiliary sets.
 ///
-/// Extracted so the fault-free and fault-injected drivers share one
-/// construction path — RNG stream consumption order is part of the
-/// reproducibility contract and must not fork between them.
+/// Extracted so the stable driver, the sharded engine and the runtime
+/// bridge share one construction path — RNG stream consumption order is
+/// part of the reproducibility contract and must not fork between them.
 pub(crate) struct StableSetup {
     pub(crate) node_ids: Vec<Id>,
     pub(crate) catalog: ItemCatalog,
@@ -132,60 +132,21 @@ pub(crate) struct StableSetup {
     pub(crate) aux_index: Vec<(Id, usize)>,
 }
 
-/// Run one stable-mode comparison.
+/// Run one stable-mode comparison: [`run_stable_faulted`] under no
+/// faults, projected onto each pass's fault-oblivious metrics. Every
+/// node is live and a transparent plan never fires, so no origin is
+/// down and every timeout is a dead-neighbor probe.
 ///
 /// # Panics
 /// Panics on nonsensical configurations (zero nodes/items, α invalid) —
 /// these are experiment definitions, not runtime inputs.
 pub fn run_stable(config: &StableConfig) -> StableReport {
-    let setup = build_stable(config);
-    let StableSetup {
-        node_ids,
-        catalog,
-        overlay,
-        aware_sets,
-        oblivious_sets,
-        per_node_workloads,
-        aux_index,
-    } = &setup;
-
-    // Route the same query sequence under each strategy. All three passes
-    // share ONE immutable overlay snapshot: auxiliary sets are resolved
-    // per pass from the side tables through `query_with_aux` instead of
-    // being installed into per-pass clones of the whole substrate. In
-    // stable mode routing never mutates the overlay (nothing dies, so no
-    // neighbor is ever forgotten), which makes the shared snapshot
-    // behaviourally identical to the historical clone-per-pass — minus
-    // three copies of every routing table.
-    let measure = |sets: Option<&[Vec<Id>]>| -> QueryMetrics {
-        let mut rng_queries = StdRng::seed_from_u64(config.seed.wrapping_add(2));
-        let mut metrics = QueryMetrics::default();
-        for _ in 0..config.queries {
-            let origin_idx = rng_queries.gen_range(0..config.nodes);
-            let item = per_node_workloads[origin_idx].sample_item(&mut rng_queries);
-            let outcome = overlay.query_with_aux(node_ids[origin_idx], catalog.key(item), |id| {
-                aux_lookup(aux_index, sets, id)
-            });
-            metrics.record(outcome.success, outcome.hops, outcome.failed_probes);
-        }
-        metrics
-    };
-
-    let passes: [Option<&[Vec<Id>]>; 3] = [None, Some(aware_sets), Some(oblivious_sets)];
-    let results = peercache_par::par_map(&passes, |_, sets| measure(*sets));
-    let mut results = results.into_iter();
-    let (Some(core_only), Some(aware), Some(oblivious)) =
-        (results.next(), results.next(), results.next())
-    else {
-        unreachable!("par_map yields one result per measurement pass");
-    };
-    let reduction = reduction_pct(aware.avg_hops(), oblivious.avg_hops());
-
+    let report = run_stable_faulted(config, &FaultConfig::none());
     StableReport {
-        aware,
-        oblivious,
-        core_only,
-        reduction_pct: reduction,
+        aware: report.aware.base,
+        oblivious: report.oblivious.base,
+        core_only: report.core_only.base,
+        reduction_pct: report.reduction_pct,
     }
 }
 
@@ -402,14 +363,19 @@ pub struct StableFaultReport {
     pub reduction_pct: f64,
 }
 
-/// [`run_stable`] with fault injection: the identical topology,
-/// selections, and query stream, routed through the fault-wrapped walks.
+/// One stable-mode comparison under fault injection: build the
+/// topology and both strategies' selections, then route the same query
+/// sequence under each strategy (core only, aware, oblivious) through
+/// the fault walk.
 ///
-/// The fault walks consume no randomness (every decision is a hash of
-/// `(run_seed, ids, hop, attempt)`), so the three passes draw the exact
-/// query sequence of the fault-free driver and stay bit-identical at any
-/// thread count. Origins crashed by the plan are reported as
-/// `origin_down` and excluded from the issued count.
+/// All three passes share ONE immutable overlay snapshot: auxiliary sets
+/// are resolved per pass from the side tables instead of being installed
+/// into per-pass clones of the whole substrate. The walks consume no
+/// randomness (every decision is a hash of `(run_seed, ids, hop,
+/// attempt)`), so every pass draws the same query sequence and the
+/// report is bit-identical at any thread count. Origins crashed by the
+/// plan are reported as `origin_down` and excluded from the issued
+/// count.
 ///
 /// # Panics
 /// Panics on nonsensical configurations (zero nodes/items, α invalid).

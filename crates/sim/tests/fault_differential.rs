@@ -1,29 +1,222 @@
-//! Differential battery (ISSUE 5 satellite 2): with an all-zeros
-//! [`FaultPlan`] the fault-wrapped walks must be **bit-identical** to
-//! the existing fault-free walks — same hops, same path, same probe
-//! order, same outcome — across 64 seeds on all four substrates, both
-//! on all-live overlays and on overlays with failed (substrate-dead)
-//! nodes still referenced from routing tables.
+//! Goldens for the single routing walk. Every substrate routes through
+//! one forwarding rule, its [`Substrate::step`], driven by
+//! [`walk`] (read-only) or [`Substrate::walk_repairing`] (evicting what
+//! timed out). The digests below were recorded from the per-variant
+//! walks that rule replaced — the read-only, mutating and fault walks —
+//! and pin every lookup's hops, path, timeouts and outcome in three
+//! regimes per substrate, 64 seeds each:
+//!
+//! * **live**: every node live, read-only walk over side-table
+//!   auxiliary sets;
+//! * **failed**: a fresh ring with failed nodes still referenced from
+//!   routing tables and auxiliary sets, read-only walk. Pastry and
+//!   Tapestry's digests come from the mutating walk on a per-query clone
+//!   (their old read-only walk dead-ended at the first dead hop); Chord
+//!   and the skip graph's from the old read-only walk, which agreed with
+//!   their mutating walk on a fresh ring;
+//! * **stale**: failures plus joins that were never stabilised, driven
+//!   sequentially through the repairing walk, plus a digest of every
+//!   live node's tables afterwards.
+//!
+//! Each trace must also keep the transparent plan's invariants: one
+//! attempt per probe, one eviction pair per timeout, no retries,
+//! fallbacks or delay, and — when nothing timed out — a probe order equal
+//! to the forward path.
 
 use std::collections::BTreeMap;
 
-use peercache_chord::{ChordConfig, ChordNetwork, LookupOutcome};
-use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure};
+use peercache_chord::{ChordConfig, ChordNetwork};
+use peercache_faults::{walk, FaultPlan, FaultedRoute, LookupFailure, Substrate};
 use peercache_id::{Id, IdSpace};
 use peercache_pastry::{PastryConfig, PastryNetwork, RoutingMode};
-use peercache_skipgraph::{SearchOutcome, SkipGraphConfig, SkipGraphNetwork};
+use peercache_skipgraph::{SkipGraphConfig, SkipGraphNetwork};
 use peercache_tapestry::{TapestryConfig, TapestryNetwork};
 use peercache_workload::random_ids;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const NODES: usize = 48;
-const FAILURES: usize = 6;
-const QUERIES: usize = 8;
+const NODES: usize = 64;
+const FAILURES: usize = 12;
+const JOINS: usize = 8;
+const QUERIES: usize = 32;
+const STALE_QUERIES: usize = 200;
 const SEEDS: u64 = 64;
 
 fn space() -> IdSpace {
     IdSpace::new(32).expect("valid width")
+}
+
+/// A running FNV-1a digest of a regime's lookups, with two readable
+/// totals beside it so a drift says where it happened.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Tally {
+    digest: u64,
+    reached_owner: u32,
+    timeouts: u32,
+}
+
+impl Tally {
+    const fn new() -> Self {
+        Tally {
+            digest: 0xcbf2_9ce4_8422_2325,
+            reached_owner: 0,
+            timeouts: 0,
+        }
+    }
+
+    const fn golden(digest: u64, reached_owner: u32, timeouts: u32) -> Self {
+        Tally {
+            digest,
+            reached_owner,
+            timeouts,
+        }
+    }
+
+    fn feed(&mut self, text: &str) {
+        for byte in text.bytes() {
+            self.digest ^= u64::from(byte);
+            self.digest = self.digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold one lookup in, after checking its trace invariants.
+    fn record(&mut self, label: &str, route: &FaultedRoute) {
+        let trace = &route.trace;
+        assert_eq!(
+            trace.timeouts as usize,
+            trace.dead_probed.len(),
+            "{label}: every timeout yields one eviction pair"
+        );
+        assert_eq!(
+            trace.probes as usize,
+            trace.probed.len(),
+            "{label}: transparent plans send exactly one attempt per probe"
+        );
+        assert_eq!(trace.retries, 0, "{label}: no retries without loss");
+        assert_eq!(trace.fallbacks, 0, "{label}: no fallbacks when transparent");
+        assert_eq!(trace.delay_ticks, 0, "{label}: no jitter at zero rates");
+        if trace.timeouts == 0 {
+            assert_eq!(
+                trace.probed,
+                &trace.path[1..],
+                "{label}: with no failures the probe order is the forward path"
+            );
+        }
+        let (kind, node) = match route.outcome {
+            Ok(owner) => ("ok", Some(owner)),
+            Err(LookupFailure::WrongOwner(at)) => ("wrong_owner", Some(at)),
+            Err(LookupFailure::DeadEnd(at)) => ("dead_end", Some(at)),
+            Err(LookupFailure::HopLimit) => ("hop_limit", None),
+            Err(LookupFailure::OriginDown(at)) => ("origin_down", Some(at)),
+        };
+        self.reached_owner += u32::from(route.is_success());
+        self.timeouts += trace.timeouts;
+        self.feed(&format!(
+            "{} {:?} {} {kind} {node:?};",
+            trace.hops, trace.path, trace.timeouts
+        ));
+    }
+}
+
+/// One substrate's goldens: the three regimes, then the tables the stale
+/// regime leaves behind (a digest only).
+type Goldens = [Tally; 4];
+
+/// The membership operations each network spells its own way (they stay
+/// out of [`Substrate`], which carries only what a walk needs).
+trait Network: Substrate + Sized {
+    fn build(ids: &[Id], rng: &mut StdRng) -> Self;
+    fn fail(&mut self, id: Id);
+    fn join(&mut self, id: Id, rng: &mut StdRng);
+    fn install(&mut self, node: Id, aux: Vec<Id>);
+    fn live_ids(&self) -> Vec<Id>;
+    /// The node's routing state, rendered.
+    fn tables(&self, id: Id) -> String;
+}
+
+impl Network for ChordNetwork {
+    fn build(ids: &[Id], _: &mut StdRng) -> Self {
+        ChordNetwork::build(ChordConfig::new(space()), ids)
+    }
+    fn fail(&mut self, id: Id) {
+        ChordNetwork::fail(self, id).expect("failed node was live");
+    }
+    fn join(&mut self, id: Id, _: &mut StdRng) {
+        ChordNetwork::join(self, id).expect("fresh id");
+    }
+    fn install(&mut self, node: Id, aux: Vec<Id>) {
+        self.set_aux(node, aux).expect("node is live");
+    }
+    fn live_ids(&self) -> Vec<Id> {
+        ChordNetwork::live_ids(self)
+    }
+    fn tables(&self, id: Id) -> String {
+        format!("{:?}", self.node(id))
+    }
+}
+
+impl Network for PastryNetwork {
+    fn build(ids: &[Id], rng: &mut StdRng) -> Self {
+        let config = PastryConfig::new(space(), 1).with_mode(RoutingMode::LocalityAware);
+        PastryNetwork::build(config, ids, rng)
+    }
+    fn fail(&mut self, id: Id) {
+        PastryNetwork::fail(self, id).expect("failed node was live");
+    }
+    fn join(&mut self, id: Id, rng: &mut StdRng) {
+        PastryNetwork::join(self, id, (rng.gen(), rng.gen())).expect("fresh id");
+    }
+    fn install(&mut self, node: Id, aux: Vec<Id>) {
+        self.set_aux(node, aux).expect("node is live");
+    }
+    fn live_ids(&self) -> Vec<Id> {
+        PastryNetwork::live_ids(self)
+    }
+    fn tables(&self, id: Id) -> String {
+        format!("{:?}", self.node(id))
+    }
+}
+
+impl Network for TapestryNetwork {
+    fn build(ids: &[Id], _: &mut StdRng) -> Self {
+        TapestryNetwork::build(TapestryConfig::new(space(), 1), ids)
+    }
+    fn fail(&mut self, id: Id) {
+        TapestryNetwork::fail(self, id).expect("failed node was live");
+    }
+    fn join(&mut self, id: Id, _: &mut StdRng) {
+        TapestryNetwork::join(self, id).expect("fresh id");
+    }
+    fn install(&mut self, node: Id, aux: Vec<Id>) {
+        self.set_aux(node, aux).expect("node is live");
+    }
+    fn live_ids(&self) -> Vec<Id> {
+        TapestryNetwork::live_ids(self)
+    }
+    fn tables(&self, id: Id) -> String {
+        format!("{:?}", self.node(id))
+    }
+}
+
+impl Network for SkipGraphNetwork {
+    fn build(ids: &[Id], _: &mut StdRng) -> Self {
+        SkipGraphNetwork::build(SkipGraphConfig::new(space()), ids)
+    }
+    fn fail(&mut self, id: Id) {
+        SkipGraphNetwork::fail(self, id).expect("failed node was live");
+    }
+    fn join(&mut self, id: Id, _: &mut StdRng) {
+        SkipGraphNetwork::join(self, id).expect("fresh id");
+    }
+    fn install(&mut self, node: Id, aux: Vec<Id>) {
+        self.set_aux(node, aux).expect("node is live");
+    }
+    fn live_ids(&self) -> Vec<Id> {
+        SkipGraphNetwork::live_ids(self)
+    }
+    fn tables(&self, id: Id) -> String {
+        format!("{:?}", self.node(id))
+    }
 }
 
 /// Random per-node auxiliary sets drawn over the full membership (so
@@ -37,257 +230,118 @@ fn aux_tables(ids: &[Id], rng: &mut StdRng) -> BTreeMap<Id, Vec<Id>> {
         .collect()
 }
 
-/// The invariants every (legacy, faulted) pair must satisfy under a
-/// transparent plan, given the legacy walk's components.
-fn assert_trace_matches(
-    label: &str,
-    route: &FaultedRoute,
-    hops: u32,
-    failed_probes: u32,
-    path: &[Id],
-) {
-    let trace = &route.trace;
-    assert_eq!(trace.hops, hops, "{label}: hop count diverged");
-    assert_eq!(trace.path, path, "{label}: visited path diverged");
-    assert_eq!(
-        trace.timeouts, failed_probes,
-        "{label}: timeouts must equal legacy failed probes"
-    );
-    assert_eq!(
-        trace.probes as usize,
-        trace.probed.len(),
-        "{label}: transparent plans send exactly one attempt per probe"
-    );
-    assert_eq!(trace.retries, 0, "{label}: no retries without loss");
-    assert_eq!(trace.fallbacks, 0, "{label}: no fallbacks when transparent");
-    assert_eq!(trace.delay_ticks, 0, "{label}: no jitter at zero rates");
-    assert_eq!(
-        trace.dead_probed.len(),
-        failed_probes as usize,
-        "{label}: every timeout yields one eviction pair"
-    );
-    if failed_probes == 0 {
-        assert_eq!(
-            trace.probed,
-            &path[1..],
-            "{label}: with no failures the probe order is the forward path"
-        );
-    }
+/// A live origin and a uniform key.
+fn query<N: Network>(net: &N, rng: &mut StdRng) -> (Id, Id) {
+    let live = net.live_ids();
+    let from = live[rng.gen_range(0..live.len())];
+    (from, Id::new(u128::from(rng.gen::<u32>())))
 }
 
-fn check_chord(seed: u64, fail_some: bool) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ids = random_ids(space(), NODES, &mut rng);
-    let mut net = ChordNetwork::build(ChordConfig::new(space()), &ids);
-    let aux = aux_tables(&ids, &mut rng);
-    if fail_some {
-        for i in 0..FAILURES {
-            net.fail(ids[i * 7 % NODES]).ok();
+/// Run the three regimes over every seed.
+fn run<N: Network>(label: &str) -> Goldens {
+    let mut goldens = [Tally::new(); 4];
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ids = random_ids(space(), NODES, &mut rng);
+        let mut net = N::build(&ids, &mut rng);
+        let aux = aux_tables(&ids, &mut rng);
+        for (&node, set) in &aux {
+            net.install(node, set.clone());
         }
-    }
-    let live = net.live_ids();
-    let plan = FaultPlan::transparent(seed);
-    for _ in 0..QUERIES {
-        let from = live[rng.gen_range(0..live.len())];
-        let key = Id::new(u128::from(rng.gen::<u32>()));
         let aux_of = |id: Id| aux.get(&id).map_or(&[] as &[Id], Vec::as_slice);
-        let legacy = net.lookup_with_aux(from, key, aux_of).expect("live origin");
-        let route = net
-            .lookup_with_aux_faults(from, key, aux_of, &plan)
-            .expect("live origin");
-        assert_trace_matches(
-            "chord",
-            &route,
-            legacy.hops,
-            legacy.failed_probes,
-            &legacy.path,
-        );
-        match (&legacy.outcome, &route.outcome) {
-            (LookupOutcome::Success, Ok(end)) => assert_eq!(Some(end), legacy.path.last()),
-            (LookupOutcome::WrongOwner(a), Err(LookupFailure::WrongOwner(b))) => assert_eq!(a, b),
-            (LookupOutcome::DeadEnd(a), Err(LookupFailure::DeadEnd(b))) => assert_eq!(a, b),
-            (LookupOutcome::HopLimit, Err(LookupFailure::HopLimit)) => {}
-            (l, f) => panic!("chord outcome diverged: legacy {l:?} vs faulted {f:?}"),
+        let plan = FaultPlan::transparent(seed);
+        for _ in 0..QUERIES {
+            let (from, key) = query(&net, &mut rng);
+            goldens[0].record(label, &walk(&net, from, key, aux_of, &plan));
         }
-    }
-}
-
-/// Pastry's (and Tapestry's) read-only `route_with_aux` treats a dead
-/// next hop as a hard dead end — a snapshot cannot repair around it —
-/// while the fault walk reproduces the **mutating** walk's
-/// forget-and-retry. So the all-live case diffs against the read-only
-/// walk (bit-identity on the stable-mode contract) and the dead-node
-/// case diffs against `route()` on a per-query clone with the same
-/// auxiliary sets installed (bit-identity with the churn contract).
-fn check_pastry(seed: u64, fail_some: bool) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ids = random_ids(space(), NODES, &mut rng);
-    let config = PastryConfig::new(space(), 1).with_mode(RoutingMode::LocalityAware);
-    let mut net = PastryNetwork::build(config, &ids, &mut rng);
-    let aux = aux_tables(&ids, &mut rng);
-    for (&node, aux_set) in &aux {
-        net.set_aux(node, aux_set.clone()).expect("node is live");
-    }
-    if fail_some {
         for i in 0..FAILURES {
-            net.fail(ids[i * 7 % NODES]).ok();
+            net.fail(ids[i * 5 % NODES]);
+        }
+        for _ in 0..QUERIES {
+            let (from, key) = query(&net, &mut rng);
+            goldens[1].record(label, &walk(&net, from, key, aux_of, &plan));
+        }
+        let mut joined = 0;
+        while joined < JOINS {
+            let id = Id::new(u128::from(rng.gen::<u32>()));
+            if !net.is_live(id) {
+                net.join(id, &mut rng);
+                joined += 1;
+            }
+        }
+        for _ in 0..STALE_QUERIES {
+            let (from, key) = query(&net, &mut rng);
+            goldens[2].record(label, &net.walk_repairing(from, key, &plan));
+        }
+        for id in net.live_ids() {
+            goldens[3].feed(&net.tables(id));
         }
     }
-    let live = net.live_ids();
-    let plan = FaultPlan::transparent(seed);
-    for _ in 0..QUERIES {
-        let from = live[rng.gen_range(0..live.len())];
-        let key = Id::new(u128::from(rng.gen::<u32>()));
-        let aux_of = |id: Id| net.node(id).map_or(&[] as &[Id], |n| n.aux.as_slice());
-        let legacy = if fail_some {
-            let mut mutating = net.clone();
-            mutating.route(from, key).expect("live origin")
-        } else {
-            net.route_with_aux(from, key, aux_of).expect("live origin")
-        };
-        let route = net
-            .route_with_aux_faults(from, key, aux_of, &plan)
-            .expect("live origin");
-        assert_trace_matches(
-            "pastry",
-            &route,
-            legacy.hops,
-            legacy.failed_probes,
-            &legacy.path,
-        );
-        match (&legacy.outcome, &route.outcome) {
-            (peercache_pastry::RouteOutcome::Success, Ok(end)) => {
-                assert_eq!(Some(end), legacy.path.last());
-            }
-            (peercache_pastry::RouteOutcome::WrongOwner(a), Err(LookupFailure::WrongOwner(b))) => {
-                assert_eq!(a, b);
-            }
-            (peercache_pastry::RouteOutcome::DeadEnd(a), Err(LookupFailure::DeadEnd(b))) => {
-                assert_eq!(a, b);
-            }
-            (peercache_pastry::RouteOutcome::HopLimit, Err(LookupFailure::HopLimit)) => {}
-            (l, f) => panic!("pastry outcome diverged: legacy {l:?} vs faulted {f:?}"),
-        }
-    }
+    goldens
 }
 
-/// See [`check_pastry`] for the two comparison regimes.
-fn check_tapestry(seed: u64, fail_some: bool) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ids = random_ids(space(), NODES, &mut rng);
-    let mut net = TapestryNetwork::build(TapestryConfig::new(space(), 1), &ids);
-    let aux = aux_tables(&ids, &mut rng);
-    for (&node, aux_set) in &aux {
-        net.set_aux(node, aux_set.clone()).expect("node is live");
+fn assert_goldens<N: Network>(label: &str, want: Goldens) {
+    let got = run::<N>(label);
+    for (regime, (got, want)) in ["live", "failed", "stale", "stale tables"]
+        .iter()
+        .zip(got.iter().zip(&want))
+    {
+        assert_eq!(got, want, "{label}: the {regime} regime drifted");
     }
-    if fail_some {
-        for i in 0..FAILURES {
-            net.fail(ids[i * 7 % NODES]).ok();
-        }
-    }
-    let live = net.live_ids();
-    let plan = FaultPlan::transparent(seed);
-    for _ in 0..QUERIES {
-        let from = live[rng.gen_range(0..live.len())];
-        let key = Id::new(u128::from(rng.gen::<u32>()));
-        let aux_of = |id: Id| net.node(id).map_or(&[] as &[Id], |n| n.aux.as_slice());
-        let legacy = if fail_some {
-            let mut mutating = net.clone();
-            mutating.route(from, key).expect("live origin")
-        } else {
-            net.route_with_aux(from, key, aux_of).expect("live origin")
-        };
-        let route = net
-            .route_with_aux_faults(from, key, aux_of, &plan)
-            .expect("live origin");
-        assert_trace_matches(
-            "tapestry",
-            &route,
-            legacy.hops,
-            legacy.failed_probes,
-            &legacy.path,
-        );
-        match (&legacy.outcome, &route.outcome) {
-            (peercache_tapestry::RouteOutcome::Success, Ok(end)) => {
-                assert_eq!(Some(end), legacy.path.last());
-            }
-            (
-                peercache_tapestry::RouteOutcome::WrongOwner(a),
-                Err(LookupFailure::WrongOwner(b)),
-            ) => assert_eq!(a, b),
-            (peercache_tapestry::RouteOutcome::DeadEnd(a), Err(LookupFailure::DeadEnd(b))) => {
-                assert_eq!(a, b);
-            }
-            (peercache_tapestry::RouteOutcome::HopLimit, Err(LookupFailure::HopLimit)) => {}
-            (l, f) => panic!("tapestry outcome diverged: legacy {l:?} vs faulted {f:?}"),
-        }
-    }
-}
-
-fn check_skipgraph(seed: u64, fail_some: bool) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ids = random_ids(space(), NODES, &mut rng);
-    let mut net = SkipGraphNetwork::build(SkipGraphConfig::new(space()), &ids);
-    let aux = aux_tables(&ids, &mut rng);
-    if fail_some {
-        for i in 0..FAILURES {
-            net.fail(ids[i * 7 % NODES]).ok();
-        }
-    }
-    let live = net.live_ids();
-    let plan = FaultPlan::transparent(seed);
-    for _ in 0..QUERIES {
-        let from = live[rng.gen_range(0..live.len())];
-        let key = Id::new(u128::from(rng.gen::<u32>()));
-        let aux_of = |id: Id| aux.get(&id).map_or(&[] as &[Id], Vec::as_slice);
-        let legacy = net.search_with_aux(from, key, aux_of).expect("live origin");
-        let route = net
-            .search_with_aux_faults(from, key, aux_of, &plan)
-            .expect("live origin");
-        assert_trace_matches(
-            "skipgraph",
-            &route,
-            legacy.hops,
-            legacy.failed_probes,
-            &legacy.path,
-        );
-        match (&legacy.outcome, &route.outcome) {
-            (SearchOutcome::Success, Ok(end)) => assert_eq!(Some(end), legacy.path.last()),
-            (SearchOutcome::WrongOwner(a), Err(LookupFailure::WrongOwner(b))) => assert_eq!(a, b),
-            (SearchOutcome::HopLimit, Err(LookupFailure::HopLimit)) => {}
-            (l, f) => panic!("skipgraph outcome diverged: legacy {l:?} vs faulted {f:?}"),
-        }
-    }
+    assert!(
+        got[1].timeouts > 0 && got[2].timeouts > 0,
+        "{label}: the failure regimes must probe dead neighbors"
+    );
 }
 
 #[test]
-fn chord_transparent_walks_match_legacy_over_64_seeds() {
-    for seed in 0..SEEDS {
-        check_chord(seed, false);
-        check_chord(seed, true);
-    }
+fn chord_walk_reproduces_the_legacy_goldens() {
+    assert_goldens::<ChordNetwork>(
+        "chord",
+        [
+            Tally::golden(12_361_991_520_179_181_820, 2048, 0),
+            Tally::golden(6_061_732_804_344_992_781, 2048, 1458),
+            Tally::golden(13_630_855_609_516_357_613, 11_186, 3797),
+            Tally::golden(12_225_475_306_254_901_755, 0, 0),
+        ],
+    );
 }
 
 #[test]
-fn pastry_transparent_walks_match_legacy_over_64_seeds() {
-    for seed in 0..SEEDS {
-        check_pastry(seed, false);
-        check_pastry(seed, true);
-    }
+fn pastry_walk_reproduces_the_legacy_goldens() {
+    assert_goldens::<PastryNetwork>(
+        "pastry",
+        [
+            Tally::golden(16_618_673_808_905_756_588, 2048, 0),
+            Tally::golden(6_659_946_679_882_388_115, 2047, 1476),
+            Tally::golden(16_901_229_965_826_807_059, 12_800, 2482),
+            Tally::golden(6_034_003_160_062_596_022, 0, 0),
+        ],
+    );
 }
 
 #[test]
-fn tapestry_transparent_walks_match_legacy_over_64_seeds() {
-    for seed in 0..SEEDS {
-        check_tapestry(seed, false);
-        check_tapestry(seed, true);
-    }
+fn tapestry_walk_reproduces_the_legacy_goldens() {
+    assert_goldens::<TapestryNetwork>(
+        "tapestry",
+        [
+            Tally::golden(2_317_013_625_029_702_852, 2048, 0),
+            Tally::golden(6_669_879_662_248_774_321, 1679, 1701),
+            Tally::golden(10_290_863_335_210_286_178, 9266, 3283),
+            Tally::golden(17_918_946_235_080_426_971, 0, 0),
+        ],
+    );
 }
 
 #[test]
-fn skipgraph_transparent_walks_match_legacy_over_64_seeds() {
-    for seed in 0..SEEDS {
-        check_skipgraph(seed, false);
-        check_skipgraph(seed, true);
-    }
+fn skipgraph_walk_reproduces_the_legacy_goldens() {
+    assert_goldens::<SkipGraphNetwork>(
+        "skipgraph",
+        [
+            Tally::golden(7_702_221_925_724_724_613, 2048, 0),
+            Tally::golden(9_649_859_747_513_876_478, 1721, 1843),
+            Tally::golden(12_678_729_938_989_450_894, 12_800, 1198),
+            Tally::golden(16_193_706_675_728_919_682, 0, 0),
+        ],
+    );
 }

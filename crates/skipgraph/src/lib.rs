@@ -15,6 +15,12 @@
 //! exactly like level links (§III-1). The Chord selection algorithm
 //! transfers by running it in rank space: see the `ext_skipgraph`
 //! experiment in `peercache-bench`.
+//!
+//! The forwarding rule lives in one function, [`SkipGraphNetwork`]'s
+//! `peercache_faults::Substrate::step`. [`SkipGraphNetwork::search`] is
+//! the repairing walk over it (dead links probed en route are forgotten
+//! afterwards); the simulator's read-only, fault-injected and
+//! node-runtime walks drive the same step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +29,7 @@ mod network;
 
 pub use network::{NetworkError, SkipGraphConfig, SkipGraphNetwork, SkipNode};
 
+use peercache_faults::{FaultedRoute, LookupFailure};
 use peercache_id::Id;
 
 /// How a search ended.
@@ -53,5 +60,26 @@ impl SearchResult {
     /// Whether the search reached the true owner.
     pub fn is_success(&self) -> bool {
         self.outcome == SearchOutcome::Success
+    }
+
+    /// The result of a walk; `None` when its origin was down.
+    fn from_route(route: FaultedRoute) -> Option<Self> {
+        let outcome = match route.outcome {
+            Ok(_) => SearchOutcome::Success,
+            // The step reports a dead end only for a current node missing
+            // from the graph, which a walk over probed-live nodes never
+            // reaches; it ends at the wrong node either way.
+            Err(LookupFailure::WrongOwner(at) | LookupFailure::DeadEnd(at)) => {
+                SearchOutcome::WrongOwner(at)
+            }
+            Err(LookupFailure::HopLimit) => SearchOutcome::HopLimit,
+            Err(LookupFailure::OriginDown(_)) => return None,
+        };
+        Some(SearchResult {
+            outcome,
+            hops: route.trace.hops,
+            failed_probes: route.trace.timeouts,
+            path: route.trace.path,
+        })
     }
 }

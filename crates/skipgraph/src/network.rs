@@ -2,10 +2,10 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
+use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 
-use crate::{SearchOutcome, SearchResult};
+use crate::SearchResult;
 
 /// Configuration of a skip-graph deployment.
 #[derive(Copy, Clone, Debug)]
@@ -400,248 +400,50 @@ impl SkipGraphNetwork {
 
     /// Search for `key` from `from`: clockwise-monotone greedy over level
     /// links and auxiliaries (never overshooting the key), terminating at
-    /// the believed predecessor.
+    /// the believed predecessor. This is the repairing walk
+    /// ([`Substrate::walk_repairing`]) over the one forwarding rule,
+    /// [`Substrate::step`]: dead links probed along the way are forgotten
+    /// (and counted as `failed_probes`).
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
     pub fn search(&mut self, from: Id, key: Id) -> Result<SearchResult, NetworkError> {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let space = self.config.space;
-        let true_owner = self.true_owner(key).expect("non-empty graph");
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(SearchResult {
-                    outcome: SearchOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            if current == key {
-                return Ok(SearchResult {
-                    outcome: SearchOutcome::Success,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            let mut candidates: Vec<Id> = self.nodes[&current.value()]
-                .known_neighbors()
-                .into_iter()
-                .filter(|&w| space.between_open_closed(current, w, key))
-                .collect();
-            candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-            let mut next = None;
-            for w in candidates {
-                if self.is_live(w) {
-                    next = Some(w);
-                    break;
-                }
-                failed_probes += 1;
-                self.nodes
-                    .get_mut(&current.value())
-                    .expect("route current node is live")
-                    .forget(w);
-            }
-            match next {
-                Some(w) => {
-                    hops += 1;
-                    path.push(w);
-                    current = w;
-                }
-                None => {
-                    let outcome = if current == true_owner {
-                        SearchOutcome::Success
-                    } else {
-                        SearchOutcome::WrongOwner(current)
-                    };
-                    return Ok(SearchResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-            }
-        }
+        SearchResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
+            .ok_or(NetworkError::NotPresent(from))
+    }
+}
+
+impl Substrate for SkipGraphNetwork {
+    fn is_live(&self, id: Id) -> bool {
+        SkipGraphNetwork::is_live(self, id)
     }
 
-    /// Read-only [`search`](Self::search): auxiliary neighbors come from
-    /// `aux_of` instead of the installed per-node sets, and dead entries
-    /// probed along the way are counted as `failed_probes` but **not**
-    /// forgotten. With every node live — the stable-mode contract — the
-    /// walk is hop-for-hop identical to installing each `aux_of` set via
-    /// [`set_aux`](Self::set_aux) and calling `search`, which lets a
-    /// parallel sweep share one snapshot across threads.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn search_with_aux<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-    ) -> Result<SearchResult, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let space = self.config.space;
-        // `from` is live, so the graph is non-empty and the key has an
-        // owner; the else-branch is unreachable but typed.
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(SearchResult {
-                    outcome: SearchOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            if current == key {
-                return Ok(SearchResult {
-                    outcome: SearchOutcome::Success,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            let mut candidates: Vec<Id> = self.nodes[&current.value()]
-                .known_neighbors_with(aux_of(current))
-                .into_iter()
-                .filter(|&w| space.between_open_closed(current, w, key))
-                .collect();
-            candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-            let mut next = None;
-            for w in candidates {
-                if self.is_live(w) {
-                    next = Some(w);
-                    break;
-                }
-                failed_probes += 1;
-            }
-            match next {
-                Some(w) => {
-                    hops += 1;
-                    path.push(w);
-                    current = w;
-                }
-                None => {
-                    let outcome = if current == true_owner {
-                        SearchOutcome::Success
-                    } else {
-                        SearchOutcome::WrongOwner(current)
-                    };
-                    return Ok(SearchResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-            }
-        }
+    fn true_owner(&self, key: Id) -> Option<Id> {
+        SkipGraphNetwork::true_owner(self, key)
     }
 
-    /// Fault-injected read-only search: every contact goes through
-    /// `plan`'s probe channel (crash/loss/unresponsive with bounded
-    /// retry), auxiliary pointers are resolved through its staleness
-    /// channel, and the walk records everything in a
-    /// [`RouteTrace`](peercache_faults::RouteTrace).
-    ///
-    /// Degradation semantics mirror [`search`](Self::search): candidates
-    /// that time out are skipped in clockwise-distance order (the walk
-    /// is read-only — a repairing caller evicts `trace.dead_probed`
-    /// afterwards). Under a non-transparent plan, the first timed-out
-    /// **auxiliary-only** candidate at a hop falls the decision back to
-    /// core candidates (`trace.fallbacks`); under a transparent plan the
-    /// walk is bit-identical to
-    /// [`search_with_aux`](Self::search_with_aux).
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn search_with_aux_faults<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-        plan: &FaultPlan,
-    ) -> Result<FaultedRoute, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        if plan.node_crashed(from) {
-            return Ok(FaultedRoute::origin_down(from));
-        }
-        let mut current = from;
-        let mut trace = RouteTrace::start(from);
-        let mut scratch = StepScratch::new();
-        loop {
-            match self.search_step_faults(
-                current,
-                key,
-                true_owner,
-                &aux_of,
-                plan,
-                &mut trace,
-                &mut scratch,
-            ) {
-                WalkStep::Forward(next) => {
-                    trace.hops += 1;
-                    trace.path.push(next);
-                    current = next;
-                }
-                WalkStep::Done(outcome) => return Ok(FaultedRoute { outcome, trace }),
-            }
-        }
+    fn installed_aux(&self, id: Id) -> &[Id] {
+        self.nodes
+            .get(&id.value())
+            .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One arrival of [`search_with_aux_faults`](Self::search_with_aux_faults):
-    /// the full decision made at `current` — hop-budget check, staleness
-    /// resolution of its cached pointers, candidate ranking, and the
-    /// probe loop — ending in a forward or a terminal outcome. The
-    /// monolithic walk and the `peercache-node` event loop both drive
-    /// this same function, so their probe sequences are bit-identical.
-    ///
-    /// The caller owns the hop accounting: on [`WalkStep::Forward`] it
-    /// must charge `trace.hops += 1` and extend `trace.path` before the
-    /// next step. `true_owner` is the owner of `key` computed once per
-    /// walk (see [`true_owner`](Self::true_owner)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_step_faults<'a, F>(
-        &'a self,
+    /// One skip-graph arrival: rank the known nodes between `current`
+    /// and the key by clockwise distance to the key and probe them in
+    /// order. Under a non-transparent plan, the first timed-out
+    /// **auxiliary-only** candidate bans the remaining auxiliary
+    /// pointers at this arrival (`trace.fallbacks`). With no live
+    /// candidate, `current` is the believed predecessor of the key.
+    fn step<'a>(
+        &self,
         current: Id,
         key: Id,
         true_owner: Id,
-        aux_of: F,
+        aux_of: &dyn Fn(Id) -> &'a [Id],
         plan: &FaultPlan,
         trace: &mut RouteTrace,
         scratch: &mut StepScratch,
-    ) -> WalkStep
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
+    ) -> WalkStep {
         let space = self.config.space;
         if trace.hops >= self.config.hop_limit {
             return WalkStep::Done(Err(LookupFailure::HopLimit));
@@ -655,27 +457,30 @@ impl SkipGraphNetwork {
         let Some(node) = self.nodes.get(&current.value()) else {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
-        plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
+        let aux = plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
         let mut candidates: Vec<Id> = node
-            .known_neighbors_with(&scratch.aux)
+            .known_neighbors_with(aux)
             .into_iter()
             .filter(|&w| space.between_open_closed(current, w, key))
             .collect();
         candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-        // Sorted core view, for spotting aux-only candidates.
-        let core = node.known_neighbors_with(&[]);
+        // Sorted core view, for spotting aux-only candidates; only a
+        // failed probe under a plan that can fall back needs it.
+        let mut core: Option<Vec<Id>> = None;
         let mut aux_banned = false;
         for w in candidates {
-            let aux_only = core.binary_search(&w).is_err();
-            if aux_banned && aux_only {
+            if aux_banned && core.as_ref().is_some_and(|c| c.binary_search(&w).is_err()) {
                 continue;
             }
             if plan.probe(current, w, trace.hops, self.is_live(w), trace) {
                 return WalkStep::Forward(w);
             }
-            if aux_only && !aux_banned && !plan.is_transparent() {
-                aux_banned = true;
-                trace.fallbacks += 1;
+            if !aux_banned && !plan.is_transparent() {
+                let core = core.get_or_insert_with(|| node.known_neighbors_with(&[]));
+                if core.binary_search(&w).is_err() {
+                    aux_banned = true;
+                    trace.fallbacks += 1;
+                }
             }
         }
         let outcome = if current == true_owner {
@@ -686,11 +491,7 @@ impl SkipGraphNetwork {
         WalkStep::Done(outcome)
     }
 
-    /// Evict `dead` from `id`'s routing structures. The fault-injected
-    /// walks are read-only, so a repairing caller (the churn driver)
-    /// applies their `dead_probed` pairs here afterwards. No-op when
-    /// `id` is not live.
-    pub fn forget_neighbor(&mut self, id: Id, dead: Id) {
+    fn forget_neighbor(&mut self, id: Id, dead: Id) {
         if let Some(node) = self.nodes.get_mut(&id.value()) {
             node.forget(dead);
         }

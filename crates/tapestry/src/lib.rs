@@ -13,6 +13,13 @@
 //! unchanged: auxiliary neighbors act as extra routing-table entries and
 //! are preferred whenever they advance the prefix further (§III-1).
 //!
+//! The forwarding rule lives in one function, [`TapestryNetwork`]'s
+//! `peercache_faults::Substrate::step`: a probe that times out excludes
+//! the hop and the decision re-runs. [`TapestryNetwork::route`] is the
+//! repairing walk over it (excluded entries are forgotten afterwards);
+//! the simulator's read-only, fault-injected and node-runtime walks drive
+//! the same step.
+//!
 //! [`PastryProblem`]: https://docs.rs/peercache-core
 
 #![forbid(unsafe_code)]
@@ -22,6 +29,7 @@ mod network;
 
 pub use network::{NetworkError, TapestryConfig, TapestryNetwork, TapestryNode};
 
+use peercache_faults::{FaultedRoute, LookupFailure};
 use peercache_id::Id;
 
 /// How a route ended.
@@ -55,5 +63,22 @@ impl RouteResult {
     /// Whether the route reached the true surrogate root.
     pub fn is_success(&self) -> bool {
         self.outcome == RouteOutcome::Success
+    }
+
+    /// The result of a walk; `None` when its origin was down.
+    fn from_route(route: FaultedRoute) -> Option<Self> {
+        let outcome = match route.outcome {
+            Ok(_) => RouteOutcome::Success,
+            Err(LookupFailure::WrongOwner(at)) => RouteOutcome::WrongOwner(at),
+            Err(LookupFailure::DeadEnd(at)) => RouteOutcome::DeadEnd(at),
+            Err(LookupFailure::HopLimit) => RouteOutcome::HopLimit,
+            Err(LookupFailure::OriginDown(_)) => return None,
+        };
+        Some(RouteResult {
+            outcome,
+            hops: route.trace.hops,
+            failed_probes: route.trace.timeouts,
+            path: route.trace.path,
+        })
     }
 }

@@ -2,10 +2,10 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use peercache_faults::{FaultPlan, FaultedRoute, LookupFailure, RouteTrace, StepScratch, WalkStep};
+use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 
-use crate::{RouteOutcome, RouteResult};
+use crate::RouteResult;
 
 /// Configuration of a Tapestry deployment.
 #[derive(Copy, Clone, Debug)]
@@ -80,15 +80,10 @@ impl TapestryNode {
         }
     }
 
-    /// All distinct known nodes (table + auxiliaries, self excluded).
-    pub fn known_neighbors(&self) -> Vec<Id> {
-        self.known_neighbors_with(&self.aux)
-    }
-
-    /// [`known_neighbors`](Self::known_neighbors) with `extra` standing in
-    /// for the installed auxiliary set, so read-only routing can resolve
+    /// All distinct known nodes — the table plus `extra`, which stands in
+    /// for the installed auxiliary set so read-only routing can resolve
     /// auxiliary pointers from a shared side table over one immutable
-    /// snapshot.
+    /// snapshot (self excluded).
     pub fn known_neighbors_with(&self, extra: &[Id]) -> Vec<Id> {
         let mut out: Vec<Id> = self
             .rows
@@ -370,161 +365,28 @@ impl TapestryNetwork {
         Ok(())
     }
 
-    /// Route a query for `key` from `from`.
+    /// Route a query for `key` from `from`: the repairing walk
+    /// ([`Substrate::walk_repairing`]) over the one forwarding rule,
+    /// [`Substrate::step`]. Dead entries probed along the way are
+    /// forgotten (and counted as `failed_probes`) and the decision
+    /// re-runs without them.
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
     pub fn route(&mut self, from: Id, key: Id) -> Result<RouteResult, NetworkError> {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let true_owner = self.true_owner(key).expect("non-empty overlay");
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(RouteResult {
-                    outcome: RouteOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            match self.next_hop(current, key) {
-                Some(next) if self.is_live(next) => {
-                    hops += 1;
-                    path.push(next);
-                    current = next;
-                }
-                Some(next) => {
-                    failed_probes += 1;
-                    self.nodes
-                        .get_mut(&current.value())
-                        .expect("route current node is live")
-                        .forget(next);
-                }
-                None => {
-                    let outcome = if current == true_owner {
-                        RouteOutcome::Success
-                    } else if self.nodes[&current.value()].known_neighbors().is_empty()
-                        && self.len() > 1
-                    {
-                        RouteOutcome::DeadEnd(current)
-                    } else {
-                        RouteOutcome::WrongOwner(current)
-                    };
-                    return Ok(RouteResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Read-only [`route`](Self::route): auxiliary neighbors come from
-    /// `aux_of` instead of the installed per-node sets, and dead entries
-    /// probed along the way are counted as `failed_probes` but **not**
-    /// forgotten. With every node live — the stable-mode contract — the
-    /// walk is hop-for-hop identical to installing each `aux_of` set via
-    /// [`set_aux`](Self::set_aux) and calling `route`, which lets a
-    /// parallel sweep share one snapshot across threads. A dead next hop
-    /// is a hard dead end here (the snapshot cannot repair around it).
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn route_with_aux<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-    ) -> Result<RouteResult, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        // `from` is live, so the overlay is non-empty and the key has an
-        // owner; the else-branch is unreachable but typed.
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut failed_probes = 0u32;
-        let mut path = vec![from];
-        loop {
-            if hops >= self.config.hop_limit {
-                return Ok(RouteResult {
-                    outcome: RouteOutcome::HopLimit,
-                    hops,
-                    failed_probes,
-                    path,
-                });
-            }
-            match self.next_hop_with(current, key, aux_of(current)) {
-                Some(next) if self.is_live(next) => {
-                    hops += 1;
-                    path.push(next);
-                    current = next;
-                }
-                Some(_) => {
-                    failed_probes += 1;
-                    return Ok(RouteResult {
-                        outcome: RouteOutcome::DeadEnd(current),
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-                None => {
-                    let outcome = if current == true_owner {
-                        RouteOutcome::Success
-                    } else if self.nodes[&current.value()]
-                        .known_neighbors_with(aux_of(current))
-                        .is_empty()
-                        && self.len() > 1
-                    {
-                        RouteOutcome::DeadEnd(current)
-                    } else {
-                        RouteOutcome::WrongOwner(current)
-                    };
-                    return Ok(RouteResult {
-                        outcome,
-                        hops,
-                        failed_probes,
-                        path,
-                    });
-                }
-            }
-        }
+        RouteResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
+            .ok_or(NetworkError::NotPresent(from))
     }
 
     /// The forwarding decision at `current`: auxiliary/table shortcut on
-    /// maximal prefix progress first (§III-1), then the surrogate loop.
-    /// `None` means `current` believes it is the root.
-    fn next_hop(&self, current: Id, key: Id) -> Option<Id> {
-        self.next_hop_with(current, key, &self.nodes[&current.value()].aux)
-    }
-
-    /// [`next_hop`](Self::next_hop) with `extra` standing in for the
-    /// auxiliary set of `current`.
-    fn next_hop_with(&self, current: Id, key: Id, extra: &[Id]) -> Option<Id> {
-        self.next_hop_excluding(current, key, extra, &[])
-    }
-
-    /// The forwarding decision with `dead` exclusions applied: every
-    /// `(prober, target)` pair with `prober == current` is treated as
-    /// already forgotten. This is how the read-only fault-injected walk
-    /// reproduces the mutating walk's forget-and-retry semantics — the
-    /// mutating walk erases a timed-out entry from `current`'s tables
-    /// and re-decides; this filters it instead. With no exclusions the
-    /// decision is exactly [`next_hop_with`](Self::next_hop_with).
+    /// maximal prefix progress first (§III-1), then the surrogate loop,
+    /// with `extra` standing in for the auxiliary set of `current`.
+    /// `None` means `current` believes it is the root. Every
+    /// `(prober, target)` pair in `dead` with `prober == current` is
+    /// treated as already forgotten: the read-only walk filters a
+    /// timed-out entry instead of erasing it from `current`'s tables, so
+    /// a repairing caller that evicts the pairs afterwards ends with the
+    /// tables the walk routed over.
     fn next_hop_excluding(
         &self,
         current: Id,
@@ -575,96 +437,45 @@ impl TapestryNetwork {
         }
         None
     }
+}
 
-    /// Fault-injected read-only [`route`](Self::route): every contact
-    /// goes through `plan`'s probe channel (crash/loss/unresponsive with
-    /// bounded retry), auxiliary pointers are resolved through its
-    /// staleness channel, and the walk records everything in a
-    /// [`RouteTrace`](peercache_faults::RouteTrace).
-    ///
-    /// Unlike [`route_with_aux`](Self::route_with_aux) — which stops hard
-    /// at the first dead next hop — this mirrors the *mutating* walk's
-    /// degradation semantics: a timed-out hop is excluded (the read-only
-    /// stand-in for `forget`; a repairing caller evicts
-    /// `trace.dead_probed` afterwards) and the decision re-runs. Under a
-    /// non-transparent plan, the first timed-out **auxiliary-only**
-    /// candidate at a node bans the remaining auxiliary pointers there,
-    /// falling back to core routing state (`trace.fallbacks`); under a
-    /// transparent plan the walk is bit-identical to `route_with_aux`.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn route_with_aux_faults<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-        plan: &FaultPlan,
-    ) -> Result<FaultedRoute, NetworkError>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        if !self.nodes.contains_key(&from.value()) {
-            return Err(NetworkError::NotPresent(from));
-        }
-        let Some(true_owner) = self.true_owner(key) else {
-            return Err(NetworkError::NotPresent(from));
-        };
-        if plan.node_crashed(from) {
-            return Ok(FaultedRoute::origin_down(from));
-        }
-        let mut current = from;
-        let mut trace = RouteTrace::start(from);
-        let mut scratch = StepScratch::new();
-        loop {
-            match self.route_step_faults(
-                current,
-                key,
-                true_owner,
-                &aux_of,
-                plan,
-                &mut trace,
-                &mut scratch,
-            ) {
-                WalkStep::Forward(next) => {
-                    trace.hops += 1;
-                    trace.path.push(next);
-                    current = next;
-                }
-                WalkStep::Done(outcome) => return Ok(FaultedRoute { outcome, trace }),
-            }
-        }
+impl Substrate for TapestryNetwork {
+    fn is_live(&self, id: Id) -> bool {
+        TapestryNetwork::is_live(self, id)
     }
 
-    /// One arrival of [`route_with_aux_faults`](Self::route_with_aux_faults):
-    /// the full decision made at `current` — hop-budget check, staleness
-    /// resolution of its cached pointers, and the decide/probe loop with
-    /// its aux→core fallback — ending in a forward or a terminal outcome.
-    /// The monolithic walk and the `peercache-node` event loop both drive
-    /// this same function, so their probe sequences are bit-identical.
-    ///
-    /// The caller owns the hop accounting: on [`WalkStep::Forward`] it
-    /// must charge `trace.hops += 1` and extend `trace.path` before the
-    /// next step. `true_owner` is the owner of `key` computed once per
-    /// walk (see [`true_owner`](Self::true_owner)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_step_faults<'a, F>(
-        &'a self,
+    fn true_owner(&self, key: Id) -> Option<Id> {
+        TapestryNetwork::true_owner(self, key)
+    }
+
+    fn installed_aux(&self, id: Id) -> &[Id] {
+        self.nodes
+            .get(&id.value())
+            .map_or(&[], |n| n.aux.as_slice())
+    }
+
+    /// One Tapestry arrival: decide the next hop (maximal prefix
+    /// progress, then the surrogate loop) and probe it; a timed-out hop
+    /// is excluded and the decision re-runs. Under a non-transparent
+    /// plan, the first timed-out **auxiliary-only** hop bans the
+    /// remaining auxiliary pointers at this node, falling back to core
+    /// routing state (`trace.fallbacks`). With no hop left, a node whose
+    /// every known entry is excluded is a dead end; otherwise it wrongly
+    /// claims to be the root.
+    fn step<'a>(
+        &self,
         current: Id,
         key: Id,
         true_owner: Id,
-        aux_of: F,
+        aux_of: &dyn Fn(Id) -> &'a [Id],
         plan: &FaultPlan,
         trace: &mut RouteTrace,
         scratch: &mut StepScratch,
-    ) -> WalkStep
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
+    ) -> WalkStep {
         if trace.hops >= self.config.hop_limit {
             return WalkStep::Done(Err(LookupFailure::HopLimit));
         }
-        plan.resolve_aux(
+        let aux = plan.resolve_aux(
             self.config.space,
             current,
             aux_of(current),
@@ -672,7 +483,7 @@ impl TapestryNetwork {
         );
         let mut aux_banned = false;
         loop {
-            let extra: &[Id] = if aux_banned { &[] } else { &scratch.aux };
+            let extra: &[Id] = if aux_banned { &[] } else { aux };
             match self.next_hop_excluding(current, key, extra, &trace.dead_probed) {
                 None => {
                     let excluded = |w: Id| {
@@ -718,11 +529,7 @@ impl TapestryNetwork {
         }
     }
 
-    /// Evict `dead` from `id`'s routing structures. The fault-injected
-    /// walks are read-only, so a repairing caller (the churn driver)
-    /// applies their `dead_probed` pairs here afterwards. No-op when
-    /// `id` is not live.
-    pub fn forget_neighbor(&mut self, id: Id, dead: Id) {
+    fn forget_neighbor(&mut self, id: Id, dead: Id) {
         if let Some(node) = self.nodes.get_mut(&id.value()) {
             node.forget(dead);
         }
