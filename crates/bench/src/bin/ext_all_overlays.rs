@@ -47,6 +47,10 @@ fn main() {
             r.reduction_pct
         );
         assert_eq!(r.aware.success_rate(), 1.0);
+        assert!(
+            r.aware.avg_hops() < r.oblivious.avg_hops(),
+            "{name}: the frequency-aware sets must beat the oblivious baseline"
+        );
     }
     peercache_bench::teeln!(
         cli.tee,

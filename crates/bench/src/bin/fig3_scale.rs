@@ -1,23 +1,17 @@
 //! `fig3_scale` — Figure 3's stable-mode comparison beyond the
 //! materialised substrates.
 //!
-//! Two stages:
+//! The scale stage runs at 10⁵ nodes (default; 10⁶ via `--million`):
+//! the virtual-arena engine of [`run_scale_stable`], whose rows are
+//! bit-identical at any `--threads` and `--shards`.
 //!
-//! 1. **Parity** at n = 2¹⁰: [`run_stable_sharded`] against the
-//!    monolithic [`run_stable`] across shard counts {1, 4} × thread
-//!    counts {1, 4}. Any byte-level divergence fails the run — the
-//!    CI-checkable form of the sharded engine's bit-identity contract.
-//! 2. **Scale** at 10⁵ (default; 10⁶ via `--million`): the
-//!    virtual-arena engine of [`run_scale_stable`], whose rows are
-//!    bit-identical at any `--threads` and `--shards`.
-//!
-//! Built with `--features count-allocs`, the scale stage also reports
-//! the live-heap high-water mark divided by the population — the
+//! Built with `--features count-allocs`, the run also reports the
+//! live-heap high-water mark divided by the population — the
 //! bytes-per-node gauge — and **fails** when it exceeds
 //! `--max-bytes-per-node`, the committed memory ceiling the CI `scale`
 //! job gates against.
 //!
-//! With `--churn`, a third stage runs the scale-tier churn probe
+//! With `--churn`, a second stage runs the scale-tier churn probe
 //! ([`run_scale_churn`]): rounds of membership flips, counter
 //! observations, and dirty-only refreshes at the same population — its
 //! fixed per-node state is reported and the memory gauge (peak heap /
@@ -27,28 +21,15 @@
 //! ```text
 //! fig3_scale [--quick] [--n N] [--million] [--seed N] [--threads T]
 //!            [--shards S] [--json PATH] [--max-bytes-per-node B]
-//!            [--skip-parity] [--churn]
+//!            [--churn]
 //! ```
 
 use peercache_bench::{teeln, Tee};
-use peercache_par::with_threads;
-use peercache_pastry::RoutingMode;
 use peercache_sim::{
-    run_scale_churn, run_scale_stable, run_stable, run_stable_sharded, OverlayKind, QueryMetrics,
-    RankingMode, ScaleChurnConfig, ScaleChurnReport, ScaleConfig, StableConfig,
+    run_scale_churn, run_scale_stable, QueryMetrics, ScaleChurnConfig, ScaleChurnReport,
+    ScaleConfig,
 };
 use serde::Serialize;
-
-/// The population of the parity stage: large enough to exercise many
-/// shards, small enough for the O(n²) materialised build.
-const PARITY_N: usize = 1 << 10;
-
-#[derive(Serialize)]
-struct ParityCell {
-    shards: usize,
-    threads: usize,
-    matches: bool,
-}
 
 #[derive(Serialize)]
 struct ScaleRow {
@@ -83,8 +64,6 @@ struct ScaleDoc {
     quick: bool,
     threads: usize,
     seed: u64,
-    parity_n: usize,
-    parity: Vec<ParityCell>,
     rows: Vec<ScaleRow>,
     /// The scale-churn probe's rows (present with `--churn`).
     churn: Option<ScaleChurnReport>,
@@ -98,7 +77,6 @@ struct Args {
     shards: Option<usize>,
     json: Option<String>,
     max_bytes_per_node: Option<u64>,
-    skip_parity: bool,
     churn: bool,
 }
 
@@ -110,7 +88,6 @@ fn parse_args() -> Args {
         shards: None,
         json: None,
         max_bytes_per_node: None,
-        skip_parity: false,
         churn: false,
     };
     let mut argv = std::env::args().skip(1);
@@ -138,12 +115,11 @@ fn parse_args() -> Args {
             "--max-bytes-per-node" => {
                 args.max_bytes_per_node = Some(positive(argv.next(), "--max-bytes-per-node"));
             }
-            "--skip-parity" => args.skip_parity = true,
             "--churn" => args.churn = true,
             other => panic!(
                 "unknown argument {other}; usage: [--quick] [--n N] [--million] \
                  [--seed N] [--threads T] [--shards S] [--json PATH] \
-                 [--max-bytes-per-node B] [--skip-parity] [--churn]"
+                 [--max-bytes-per-node B] [--churn]"
             ),
         }
     }
@@ -166,58 +142,6 @@ fn gauge_peak() -> Option<u64> {
 #[cfg(not(feature = "count-allocs"))]
 fn gauge_peak() -> Option<u64> {
     None
-}
-
-/// Run the sharded-vs-monolithic parity sweep; returns the cells and
-/// whether every one matched.
-fn parity_stage(tee: &mut Tee, quick: bool, seed: u64) -> (Vec<ParityCell>, bool) {
-    let mut config = StableConfig::paper_defaults(
-        OverlayKind::Pastry {
-            digit_bits: 1,
-            mode: RoutingMode::LocalityAware,
-        },
-        PARITY_N,
-        seed,
-    );
-    config.ranking = RankingMode::Identical;
-    if quick {
-        config.queries = 5_000;
-    }
-    teeln!(
-        tee,
-        "parity: run_stable_sharded vs run_stable (pastry n={PARITY_N} k={} queries={})",
-        config.k,
-        config.queries
-    );
-    let monolithic = run_stable(&config);
-    let mut cells = Vec::new();
-    let mut all_match = true;
-    for shards in [1usize, 4] {
-        for threads in [1usize, 4] {
-            let report = with_threads(threads, || run_stable_sharded(&config, shards));
-            let matches = report == monolithic;
-            all_match &= matches;
-            teeln!(
-                tee,
-                "  shards={shards} threads={threads}  reduction={:+.2} %  {}",
-                report.reduction_pct,
-                if matches { "identical" } else { "DIVERGED" }
-            );
-            cells.push(ParityCell {
-                shards,
-                threads,
-                matches,
-            });
-        }
-    }
-    teeln!(
-        tee,
-        "  monolithic reduction={:+.2} %  (aware {:.3} vs oblivious {:.3} hops)",
-        monolithic.reduction_pct,
-        monolithic.aware.avg_hops(),
-        monolithic.oblivious.avg_hops()
-    );
-    (cells, all_match)
 }
 
 fn scale_row(
@@ -253,12 +177,6 @@ fn main() {
         peercache_par::threads(),
         args.quick
     );
-
-    let (parity, parity_ok) = if args.skip_parity {
-        (Vec::new(), true)
-    } else {
-        parity_stage(&mut tee, args.quick, args.seed)
-    };
 
     let mut config = ScaleConfig::paper_defaults(args.n, args.seed);
     if let Some(shards) = args.shards {
@@ -361,8 +279,6 @@ fn main() {
         quick: args.quick,
         threads: peercache_par::threads(),
         seed: args.seed,
-        parity_n: if args.skip_parity { 0 } else { PARITY_N },
-        parity,
         rows: vec![row],
         churn,
         gauge,
@@ -375,10 +291,6 @@ fn main() {
     teeln!(tee, "(output mirrored to {})", tee.path().display());
 
     let mut failed = false;
-    if !parity_ok {
-        eprintln!("parity FAILED: the sharded driver diverged from the monolithic one");
-        failed = true;
-    }
     if let Some(ceiling) = args.max_bytes_per_node {
         match &doc.gauge {
             Some(g) if g.bytes_per_node > ceiling as f64 => {

@@ -105,7 +105,7 @@ fn definitional_cost(candidates: &[Candidate], dist: impl Fn(Id) -> u32) -> f64 
 fn definitional_qos(candidates: &[Candidate], dist: impl Fn(Id) -> u32) -> bool {
     candidates.iter().all(|c| match c.max_hops {
         None => true,
-        Some(bound) => 1 + dist(c.id) <= bound,
+        Some(bound) => dist(c.id) < bound,
     })
 }
 

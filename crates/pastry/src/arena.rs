@@ -14,17 +14,22 @@
 //!   for `PastryNetwork`'s "first encountered" fill. The pick is
 //!   *distributionally* equivalent (a deterministic qualifying member),
 //!   not bit-identical to the materialised network; the scale driver
-//!   documents this divergence and the parity gate runs on the
-//!   materialised path instead;
+//!   documents this divergence;
 //! * **proximity coordinates** are hashed from the id (the materialised
 //!   network draws them from the topology RNG).
 //!
-//! Everything is a pure function of `(sorted ids, config)`, so routing is
-//! `Sync`-shareable across threads and bit-identical at any thread count.
+//! Routing is the materialised network's: the arena implements
+//! [`Substrate`] through the same Pastry forwarding rule, read over this
+//! virtual state instead of stored tables. The arena is immutable — every
+//! member is live, no auxiliary set is installed (callers resolve them
+//! per walk), and nothing is ever forgotten. Everything is a pure
+//! function of `(sorted ids, config)`, so routing is `Sync`-shareable
+//! across threads and bit-identical at any thread count.
 
+use peercache_faults::{FaultPlan, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::Id;
 
-use crate::{PastryConfig, RouteOutcome, RoutingMode};
+use crate::{rule, PastryConfig};
 
 /// SplitMix64 finalizer — the same mixer the materialised network uses
 /// for its encounter scores.
@@ -47,38 +52,6 @@ fn fold(id: Id) -> u64 {
 #[allow(clippy::cast_precision_loss)]
 fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Reusable buffers for [`PastryArena::route_with_aux`], so a query sweep
-/// allocates nothing per hop after warm-up.
-#[derive(Default)]
-pub struct ArenaScratch {
-    leaves: Vec<Id>,
-    known: Vec<Id>,
-}
-
-impl ArenaScratch {
-    /// Empty scratch buffers.
-    pub fn new() -> Self {
-        ArenaScratch::default()
-    }
-}
-
-/// The result of routing one query through the arena (no path vector —
-/// the scale driver streams millions of these into fixed accumulators).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArenaRoute {
-    /// How the route ended.
-    pub outcome: RouteOutcome,
-    /// Number of forwards taken.
-    pub hops: u32,
-}
-
-impl ArenaRoute {
-    /// Whether the route reached the true owner.
-    pub fn is_success(&self) -> bool {
-        self.outcome == RouteOutcome::Success
-    }
 }
 
 /// The virtual overlay: a sorted id array plus the configuration.
@@ -127,22 +100,6 @@ impl PastryArena {
         self.ids.binary_search(&id).ok()
     }
 
-    /// Absolute ring distance (numerical closeness metric).
-    fn ring_abs(&self, a: Id, b: Id) -> u128 {
-        let space = self.config.space;
-        space
-            .clockwise_distance(a, b)
-            .min(space.clockwise_distance(b, a))
-    }
-
-    /// Shared digit-aligned prefix length of `a` and `b`.
-    fn lcp(&self, a: Id, b: Id) -> u8 {
-        self.config
-            .space
-            .common_prefix_digits(a, b, self.config.digit_bits)
-            .unwrap_or(0)
-    }
-
     /// The **true owner** of `key`: the numerically closest member, ties
     /// toward the smaller id — the same rule as the materialised network.
     pub fn true_owner(&self, key: Id) -> Option<Id> {
@@ -151,9 +108,12 @@ impl PastryArena {
             return None;
         }
         let p = self.ids.partition_point(|&x| x.value() <= key.value());
-        let pred = self.ids[(p + n - 1) % n];
-        let succ = self.ids[p % n];
-        let (dp, ds) = (self.ring_abs(pred, key), self.ring_abs(succ, key));
+        let pred = *self.ids.get((p + n - 1) % n)?;
+        let succ = *self.ids.get(p % n)?;
+        let (dp, ds) = (
+            self.config.ring_abs(pred, key),
+            self.config.ring_abs(succ, key),
+        );
         Some(match dp.cmp(&ds) {
             std::cmp::Ordering::Less => pred,
             std::cmp::Ordering::Greater => succ,
@@ -167,35 +127,35 @@ impl PastryArena {
         })
     }
 
-    /// The leaf set of the member at `rank` into a caller-owned buffer:
-    /// `leaf_half` ring neighbors per side in ring order (counter-
-    /// clockwise half first), exactly the materialised network's layout.
-    pub fn leaves_into(&self, rank: usize, out: &mut Vec<Id>) {
-        out.clear();
+    /// Size of every member's leaf set: `leaf_half` ring neighbors per
+    /// side, capped so the two halves never overlap on a small ring.
+    pub fn leaf_count(&self) -> usize {
         let n = self.ids.len();
-        if n <= 1 || rank >= n {
-            return;
+        (2 * self.leaf_half()).min(n.saturating_sub(1))
+    }
+
+    /// Leaves per side.
+    fn leaf_half(&self) -> usize {
+        self.config
+            .leaf_half
+            .min(self.ids.len().saturating_sub(1) / 2)
+            .max(1)
+    }
+
+    /// Leaf `i` of the member at `rank`, in the materialised network's
+    /// layout: ring order, counter-clockwise half first.
+    pub fn leaf(&self, rank: usize, i: usize) -> Option<Id> {
+        let n = self.ids.len();
+        if rank >= n || i >= self.leaf_count() {
+            return None;
         }
-        let take = self.config.leaf_half.min((n - 1) / 2).max(1);
-        let mut cur = rank;
-        for _ in 0..take {
-            let prev = (cur + n - 1) % n;
-            if prev == rank || out.contains(&self.ids[prev]) {
-                break;
-            }
-            out.push(self.ids[prev]);
-            cur = prev;
-        }
-        out.reverse();
-        let mut cur = rank;
-        for _ in 0..take {
-            let next = (cur + 1) % n;
-            if next == rank || out.contains(&self.ids[next]) {
-                break;
-            }
-            out.push(self.ids[next]);
-            cur = next;
-        }
+        let half = self.leaf_half();
+        let at = if i < half {
+            rank + n - half + i
+        } else {
+            rank + 1 + i - half
+        };
+        self.ids.get(at % n).copied()
     }
 
     /// Routing-table cell (row `l`, column `c`) of the member at `rank`:
@@ -243,7 +203,7 @@ impl PastryArena {
         }
         let span = hi_i - lo_i;
         let h = mix64(fold(owner) ^ ((u64::from(l) << 16) | u64::from(c)));
-        Some(self.ids[lo_i + (h as usize) % span])
+        self.ids.get(lo_i + (h as usize) % span).copied()
     }
 
     /// Synthetic proximity coordinates of `id` on the unit square, hashed
@@ -275,7 +235,7 @@ impl PastryArena {
         let Some(&owner) = self.ids.get(rank) else {
             return;
         };
-        self.push_leaves(rank, out);
+        out.extend((0..self.leaf_count()).filter_map(|i| self.leaf(rank, i)));
         let arity = 1u16 << self.config.digit_bits;
         for l in 0..self.config.digit_count {
             for c in 0..arity {
@@ -288,210 +248,46 @@ impl PastryArena {
         out.sort_unstable();
         out.dedup();
     }
+}
 
-    /// Append the leaf set of `rank` to `out` without clearing it.
-    fn push_leaves(&self, rank: usize, out: &mut Vec<Id>) {
-        let start = out.len();
-        let n = self.ids.len();
-        if n <= 1 {
-            return;
-        }
-        let take = self.config.leaf_half.min((n - 1) / 2).max(1);
-        let mut cur = rank;
-        for _ in 0..take {
-            let prev = (cur + n - 1) % n;
-            if prev == rank || out[start..].contains(&self.ids[prev]) {
-                break;
-            }
-            out.push(self.ids[prev]);
-            cur = prev;
-        }
-        out[start..].reverse();
-        let mut cur = rank;
-        for _ in 0..take {
-            let next = (cur + 1) % n;
-            if next == rank || out[start..].contains(&self.ids[next]) {
-                break;
-            }
-            out.push(self.ids[next]);
-            cur = next;
-        }
+impl Substrate for PastryArena {
+    fn is_live(&self, id: Id) -> bool {
+        self.rank_of(id).is_some()
     }
 
-    /// Whether the member at `rank` knows any node strictly closer to
-    /// `key` than itself — the materialised network's dead-end test over
-    /// the full known set (core structures plus `extra`).
-    fn knows_closer(&self, rank: usize, key: Id, extra: &[Id], scratch: &mut ArenaScratch) -> bool {
-        let current = self.ids[rank];
-        let cur_key = (self.ring_abs(current, key), current.value());
-        let known = &mut scratch.known;
-        known.clear();
-        self.push_leaves(rank, known);
-        let arity = 1u16 << self.config.digit_bits;
-        for l in 0..self.config.digit_count {
-            for c in 0..arity {
-                if let Some(w) = self.cell(rank, l, c) {
-                    known.push(w);
-                }
-            }
-        }
-        known.extend_from_slice(extra);
-        known
-            .iter()
-            .any(|&w| w != current && (self.ring_abs(w, key), w.value()) < cur_key)
+    fn true_owner(&self, key: Id) -> Option<Id> {
+        PastryArena::true_owner(self, key)
     }
 
-    /// The forwarding decision at `rank` for `key` (`None` = the member
-    /// believes it is the destination), mirroring the materialised
-    /// network's three rules over the virtual state:
-    ///
-    /// 1. leaf-set short-circuit when the key falls inside the leaf arc;
-    /// 2. prefix progress with the configured tie-break — of the table
-    ///    cells only (row `lcp`, column = key's next digit) can advance
-    ///    the prefix, so the candidate set is that cell plus qualifying
-    ///    leaf/auxiliary entries;
-    /// 3. numerically closer at the same prefix length.
-    fn next_hop(
+    /// Always empty: walks resolve auxiliary sets through their `aux_of`.
+    fn installed_aux(&self, _: Id) -> &[Id] {
+        &[]
+    }
+
+    /// One Pastry arrival: the forwarding rule shared with
+    /// [`PastryNetwork`](crate::PastryNetwork).
+    fn step<'a>(
         &self,
-        rank: usize,
+        current: Id,
         key: Id,
-        extra: &[Id],
-        scratch: &mut ArenaScratch,
-    ) -> Option<Id> {
-        let current = self.ids[rank];
-        if current == key {
-            return None;
-        }
-        let space = self.config.space;
-        let cur_key = (self.ring_abs(current, key), current.value());
-        let ArenaScratch { leaves, known } = scratch;
-        self.leaves_into(rank, leaves);
-
-        // 1. Leaf-set short-circuit.
-        if let (Some(&ccw_most), Some(&cw_most)) = (leaves.first(), leaves.last()) {
-            let arc = space.clockwise_distance(ccw_most, cw_most);
-            if space.clockwise_distance(ccw_most, key) <= arc {
-                let best = leaves
-                    .iter()
-                    .map(|&w| (self.ring_abs(w, key), w.value()))
-                    .min();
-                return match best {
-                    Some(best) if best < cur_key => Some(Id::new(best.1)),
-                    _ => None,
-                };
-            }
-        }
-
-        // 2. Prefix progress.
-        let l = self.lcp(current, key);
-        let cell_cand = space
-            .digit(key, l, self.config.digit_bits)
-            .ok()
-            .and_then(|kd| self.cell(rank, l, kd));
-        known.clear();
-        known.extend(
-            leaves
-                .iter()
-                .chain(extra.iter())
-                .copied()
-                .filter(|&w| w != current && self.lcp(w, key) > l)
-                .chain(cell_cand),
-        );
-        known.sort_unstable();
-        known.dedup();
-        if let Some(best_lcp) = known.iter().map(|&w| self.lcp(w, key)).max() {
-            let bucket = known
-                .iter()
-                .copied()
-                .filter(|&w| self.lcp(w, key) == best_lcp);
-            let chosen = match self.config.mode {
-                RoutingMode::LocalityAware => bucket.min_by(|&a, &b| {
-                    self.proximity(current, a)
-                        .total_cmp(&self.proximity(current, b))
-                        .then(a.cmp(&b))
-                }),
-                RoutingMode::GreedyPrefix => {
-                    bucket.min_by_key(|&w| (self.ring_abs(w, key), w.value()))
-                }
-            };
-            if let Some(chosen) = chosen {
-                return Some(chosen);
-            }
-        }
-
-        // 3. Same prefix length but numerically closer. Table rows below
-        //    `l` share fewer digits with the key and cannot qualify.
-        known.clear();
-        known.extend_from_slice(leaves);
-        known.extend_from_slice(extra);
-        let arity = 1u16 << self.config.digit_bits;
-        for r in l..self.config.digit_count {
-            for c in 0..arity {
-                if let Some(w) = self.cell(rank, r, c) {
-                    known.push(w);
-                }
-            }
-        }
-        known
-            .iter()
-            .copied()
-            .filter(|&w| w != current && self.lcp(w, key) >= l)
-            .map(|w| (self.ring_abs(w, key), w.value()))
-            .filter(|&cand| cand < cur_key)
-            .min()
-            .map(|(_, w)| Id::new(w))
+        true_owner: Id,
+        aux_of: &dyn Fn(Id) -> &'a [Id],
+        plan: &FaultPlan,
+        trace: &mut RouteTrace,
+        scratch: &mut StepScratch,
+    ) -> WalkStep {
+        rule::step(self, current, key, true_owner, aux_of, plan, trace, scratch)
     }
 
-    /// Route a query for `key` from `from`, resolving auxiliary sets
-    /// through `aux_of` (all members are live in an arena, so there are
-    /// no failed probes). Returns `None` when `from` is not a member or
-    /// a hop leaves the arena — unreachable for engine-produced inputs,
-    /// kept total rather than panicking.
-    pub fn route_with_aux<'a, F>(
-        &'a self,
-        from: Id,
-        key: Id,
-        aux_of: F,
-        scratch: &mut ArenaScratch,
-    ) -> Option<ArenaRoute>
-    where
-        F: Fn(Id) -> &'a [Id],
-    {
-        let mut rank = self.rank_of(from)?;
-        let owner = self.true_owner(key)?;
-        let mut hops = 0u32;
-        loop {
-            if hops >= self.config.hop_limit {
-                return Some(ArenaRoute {
-                    outcome: RouteOutcome::HopLimit,
-                    hops,
-                });
-            }
-            let current = self.ids[rank];
-            match self.next_hop(rank, key, aux_of(current), scratch) {
-                None => {
-                    let outcome = if current == owner {
-                        RouteOutcome::Success
-                    } else if self.knows_closer(rank, key, aux_of(current), scratch) {
-                        RouteOutcome::DeadEnd(current)
-                    } else {
-                        RouteOutcome::WrongOwner(current)
-                    };
-                    return Some(ArenaRoute { outcome, hops });
-                }
-                Some(next) => {
-                    hops += 1;
-                    rank = self.rank_of(next)?;
-                }
-            }
-        }
-    }
+    /// A no-op: the arena's tables are derived, never stored.
+    fn forget_neighbor(&mut self, _: Id, _: Id) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PastryNetwork;
+    use peercache_faults::walk;
     use peercache_id::IdSpace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -522,33 +318,6 @@ mod tests {
                 net.true_owner(Id::new(key)),
                 "owner of {key}"
             );
-        }
-    }
-
-    #[test]
-    fn leaf_sets_match_materialised_network() {
-        let (arena, net) = arena(48);
-        let mut buf = Vec::new();
-        for (rank, &id) in arena.ids().iter().enumerate() {
-            arena.leaves_into(rank, &mut buf);
-            assert_eq!(buf, net.node(id).unwrap().leaves, "leaves of {id}");
-        }
-    }
-
-    #[test]
-    fn leaf_sets_handle_tiny_rings() {
-        let space = IdSpace::new(10).unwrap();
-        let config = PastryConfig::new(space, 1);
-        for n in 1..=5 {
-            let ids = sample_ids(space, n, 0);
-            let mut rng = StdRng::seed_from_u64(1);
-            let net = PastryNetwork::build(config, &ids, &mut rng);
-            let a = PastryArena::new(config, ids);
-            let mut buf = Vec::new();
-            for (rank, &id) in a.ids().iter().enumerate() {
-                a.leaves_into(rank, &mut buf);
-                assert_eq!(buf, net.node(id).unwrap().leaves, "n={n} leaves of {id}");
-            }
         }
     }
 
@@ -590,33 +359,18 @@ mod tests {
     #[test]
     fn routing_reaches_the_true_owner_from_everywhere() {
         let (arena, _) = arena(48);
-        let mut scratch = ArenaScratch::new();
+        let plan = FaultPlan::transparent(0);
         for &from in arena.ids() {
             for key in (0..1024u128).step_by(37) {
                 let key = Id::new(key);
-                let route = arena
-                    .route_with_aux(from, key, |_| &[], &mut scratch)
-                    .expect("member origin");
-                assert!(
-                    route.is_success(),
-                    "route {from} → {key} ended {:?}",
-                    route.outcome
+                let route = walk(&arena, from, key, |_| &[], &plan);
+                assert_eq!(
+                    route.outcome,
+                    Ok(arena.true_owner(key).unwrap()),
+                    "route {from} → {key}"
                 );
-                assert!(route.hops <= arena.config().hop_limit);
+                assert!(route.trace.hops <= arena.config().hop_limit);
             }
-        }
-    }
-
-    #[test]
-    fn routing_is_deterministic() {
-        let (arena, _) = arena(48);
-        let mut s1 = ArenaScratch::new();
-        let mut s2 = ArenaScratch::new();
-        let aux = [arena.ids()[7], arena.ids()[31]];
-        for key in (0..1024u128).step_by(101) {
-            let a = arena.route_with_aux(arena.ids()[0], Id::new(key), |_| &aux[..], &mut s1);
-            let b = arena.route_with_aux(arena.ids()[0], Id::new(key), |_| &aux[..], &mut s2);
-            assert_eq!(a, b);
         }
     }
 

@@ -19,13 +19,15 @@
 //!   simulation-mode topology. [`RoutingMode::GreedyPrefix`] instead takes
 //!   the candidate closest to the key (the paper's Chord-style tiebreak).
 //!
-//! The forwarding rule lives in one function, [`PastryNetwork`]'s
-//! `peercache_faults::Substrate::step`: a probe that times out excludes
-//! the hop and the decision re-runs. [`PastryNetwork::route`] is the
+//! The forwarding rule is written once, over a read-only prefix-table
+//! accessor (leaf set, table cell, proximity, config), and it is the
+//! `peercache_faults::Substrate::step` of both storage forms of the
+//! routing state: the materialised [`PastryNetwork`] and the scale
+//! tier's virtual [`PastryArena`]. A probe that times out excludes the
+//! hop and the decision re-runs. [`PastryNetwork::route`] is the
 //! repairing walk over it (excluded entries are forgotten afterwards);
-//! the simulator's read-only, fault-injected and node-runtime walks drive
-//! the same step. [`PastryArena`] is the scale tier's separate virtual
-//! walk.
+//! the simulator's read-only, fault-injected, scale and node-runtime
+//! walks drive the same step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,8 +35,9 @@
 mod arena;
 mod network;
 mod node;
+mod rule;
 
-pub use arena::{ArenaRoute, ArenaScratch, PastryArena};
+pub use arena::PastryArena;
 pub use network::{NetworkError, PastryConfig, PastryNetwork};
 pub use node::PastryNode;
 

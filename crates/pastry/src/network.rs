@@ -2,12 +2,12 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
+use peercache_faults::{FaultPlan, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 use rand::Rng;
 
 use crate::node::PastryNode;
-use crate::{RouteResult, RoutingMode};
+use crate::{rule, RouteResult, RoutingMode};
 
 /// A point in the synthetic proximity space (FreePastry's simulation-mode
 /// topology: the unit square with Euclidean latency).
@@ -55,6 +55,23 @@ impl PastryConfig {
     pub fn with_mode(mut self, mode: RoutingMode) -> Self {
         self.mode = mode;
         self
+    }
+
+    /// Absolute ring distance (numerical closeness metric, §II-A).
+    pub(crate) fn ring_abs(&self, a: Id, b: Id) -> u128 {
+        self.space
+            .clockwise_distance(a, b)
+            .min(self.space.clockwise_distance(b, a))
+    }
+
+    /// Shared digit-aligned prefix length of `a` and `b`. The digit width
+    /// is validated by [`PastryConfig::new`], so the error arm is
+    /// unreachable; 0 is a safe (no-shared-prefix) fallback that keeps
+    /// routing well-defined regardless.
+    pub(crate) fn lcp(&self, a: Id, b: Id) -> u8 {
+        self.space
+            .common_prefix_digits(a, b, self.digit_bits)
+            .unwrap_or(0)
     }
 }
 
@@ -203,14 +220,6 @@ impl PastryNetwork {
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
     }
 
-    /// Absolute ring distance (numerical closeness metric, §II-A).
-    fn ring_abs(&self, a: Id, b: Id) -> u128 {
-        let space = self.config.space;
-        space
-            .clockwise_distance(a, b)
-            .min(space.clockwise_distance(b, a))
-    }
-
     /// The **true owner** of `key`: the numerically closest live node
     /// (ties broken toward the smaller id).
     pub fn true_owner(&self, key: Id) -> Option<Id> {
@@ -231,7 +240,10 @@ impl PastryNetwork {
             .and_then(|s| self.nodes.range(s..).next())
             .or_else(|| self.nodes.iter().next())
             .map(|(&k, _)| Id::new(k))?;
-        let (dp, ds) = (self.ring_abs(pred, key), self.ring_abs(succ, key));
+        let (dp, ds) = (
+            self.config.ring_abs(pred, key),
+            self.config.ring_abs(succ, key),
+        );
         Some(match dp.cmp(&ds) {
             std::cmp::Ordering::Less => pred,
             std::cmp::Ordering::Greater => succ,
@@ -243,16 +255,6 @@ impl PastryNetwork {
                 }
             }
         })
-    }
-
-    fn lcp(&self, a: Id, b: Id) -> u8 {
-        // The digit width is validated by `PastryConfig::new`, so the
-        // error arm is unreachable; 0 is a safe (no-shared-prefix)
-        // fallback that keeps routing well-defined regardless.
-        self.config
-            .space
-            .common_prefix_digits(a, b, self.config.digit_bits)
-            .unwrap_or(0)
     }
 
     /// True leaf set of `id`: `leaf_half` ring neighbors per side
@@ -312,7 +314,7 @@ impl PastryNetwork {
             if other == id {
                 continue;
             }
-            let l = self.lcp(id, other);
+            let l = self.config.lcp(id, other);
             if l >= self.digit_count {
                 continue;
             }
@@ -372,7 +374,7 @@ impl PastryNetwork {
         // (and learn the newcomer for their tables opportunistically).
         for member in self.nodes[&id.value()].leaves.clone() {
             let leaves = self.true_leaves(member);
-            let l = self.lcp(member, id);
+            let l = self.config.lcp(member, id);
             if let Some(m) = self.nodes.get_mut(&member.value()) {
                 m.leaves = leaves;
                 if l < self.digit_count {
@@ -477,102 +479,6 @@ impl PastryNetwork {
         RouteResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
             .ok_or(NetworkError::NotPresent(from))
     }
-
-    /// The forwarding decision at `current` for `key`, with `extra`
-    /// standing in for the auxiliary set of `current` (`None` =
-    /// `current` believes it is the destination). Every
-    /// `(prober, target)` pair in `dead` with `prober == current` is
-    /// treated as already forgotten: the read-only walk filters a
-    /// timed-out entry instead of erasing it from `current`'s tables, so
-    /// a repairing caller that evicts the pairs afterwards ends with the
-    /// tables the walk routed over.
-    fn next_hop_excluding(
-        &self,
-        current: Id,
-        key: Id,
-        extra: &[Id],
-        dead: &[(Id, Id)],
-    ) -> Option<Id> {
-        if current == key {
-            return None;
-        }
-        let excluded = |w: Id| dead.iter().any(|&(p, t)| p == current && t == w);
-        // `current` is always a live node here; degrade to "no next hop"
-        // rather than panic if the map ever disagrees (rule L10).
-        let node = self.nodes.get(&current.value())?;
-        let mut known = node.known_neighbors_with(extra);
-        known.retain(|&w| !excluded(w));
-        if known.is_empty() {
-            return None;
-        }
-        let cur_key = (self.ring_abs(current, key), current.value());
-
-        // 1. Leaf-set short-circuit: if the key falls within the arc the
-        //    (surviving) leaf set covers, jump straight to the
-        //    numerically closest.
-        let ccw_most = node.leaves.iter().copied().find(|&w| !excluded(w));
-        let cw_most = node.leaves.iter().copied().rev().find(|&w| !excluded(w));
-        if let (Some(ccw_most), Some(cw_most)) = (ccw_most, cw_most) {
-            let space = self.config.space;
-            let arc = space.clockwise_distance(ccw_most, cw_most);
-            if space.clockwise_distance(ccw_most, key) <= arc {
-                let best = node
-                    .leaves
-                    .iter()
-                    .copied()
-                    .filter(|&w| !excluded(w))
-                    .map(|w| (self.ring_abs(w, key), w.value()))
-                    .min();
-                return match best {
-                    Some(best) if best < cur_key => Some(Id::new(best.1)),
-                    _ => None,
-                };
-            }
-        }
-
-        // 2. Prefix progress: candidates sharing a strictly longer prefix
-        //    with the key than we do.
-        let l = self.lcp(current, key);
-        let progress: Vec<Id> = known
-            .iter()
-            .copied()
-            .filter(|&w| self.lcp(w, key) > l)
-            .collect();
-        // Both modes first narrow to the candidates advancing the prefix
-        // the furthest (they are the "candidate nodes for the next hop");
-        // the modes differ in the tie-break among them: FreePastry takes
-        // the one nearest in proximity space (§VI-D), the greedy mode the
-        // one numerically closest to the key.
-        if let Some(best_lcp) = progress.iter().map(|&w| self.lcp(w, key)).max() {
-            let bucket = progress
-                .into_iter()
-                .filter(|&w| self.lcp(w, key) == best_lcp);
-            let chosen = match self.config.mode {
-                RoutingMode::LocalityAware => bucket.min_by(|&a, &b| {
-                    self.proximity(current, a)
-                        .total_cmp(&self.proximity(current, b))
-                        .then(a.cmp(&b))
-                }),
-                RoutingMode::GreedyPrefix => {
-                    bucket.min_by_key(|&w| (self.ring_abs(w, key), w.value()))
-                }
-            };
-            // The bucket mirrors a non-empty `progress`, so a hop always
-            // exists; fall through only on the unreachable None.
-            if let Some(chosen) = chosen {
-                return Some(chosen);
-            }
-        }
-
-        // 3. Rare case: same prefix length but numerically closer.
-        known
-            .into_iter()
-            .filter(|&w| self.lcp(w, key) >= l)
-            .map(|w| (self.ring_abs(w, key), w.value()))
-            .filter(|&c| c < cur_key)
-            .min()
-            .map(|(_, w)| Id::new(w))
-    }
 }
 
 impl Substrate for PastryNetwork {
@@ -590,14 +496,8 @@ impl Substrate for PastryNetwork {
             .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One Pastry arrival: decide the next hop (leaf-set short-circuit,
-    /// then prefix progress, then numerical progress) and probe it; a
-    /// timed-out hop is excluded and the decision re-runs. Under a
-    /// non-transparent plan, the first timed-out **auxiliary-only** hop
-    /// bans the remaining auxiliary pointers at this node, falling back
-    /// to core routing state (`trace.fallbacks`). With no hop left, a
-    /// node that still knows a strictly closer (unexcluded) node is a
-    /// dead end; otherwise it wrongly claims ownership.
+    /// One Pastry arrival: the forwarding rule shared with
+    /// [`PastryArena`](crate::PastryArena).
     fn step<'a>(
         &self,
         current: Id,
@@ -608,65 +508,7 @@ impl Substrate for PastryNetwork {
         trace: &mut RouteTrace,
         scratch: &mut StepScratch,
     ) -> WalkStep {
-        if trace.hops >= self.config.hop_limit {
-            return WalkStep::Done(Err(LookupFailure::HopLimit));
-        }
-        let aux = plan.resolve_aux(
-            self.config.space,
-            current,
-            aux_of(current),
-            &mut scratch.aux,
-        );
-        let mut aux_banned = false;
-        loop {
-            let extra: &[Id] = if aux_banned { &[] } else { aux };
-            match self.next_hop_excluding(current, key, extra, &trace.dead_probed) {
-                None => {
-                    let excluded = |w: Id| {
-                        trace
-                            .dead_probed
-                            .iter()
-                            .any(|&(p, t)| p == current && t == w)
-                    };
-                    let outcome = if current == true_owner {
-                        Ok(current)
-                    } else if self.nodes.get(&current.value()).is_some_and(|node| {
-                        node.known_neighbors_with(extra).iter().any(|&w| {
-                            !excluded(w)
-                                && (self.ring_abs(w, key), w.value())
-                                    < (self.ring_abs(current, key), current.value())
-                        })
-                    }) {
-                        // A strictly closer node is known but unusable
-                        // under the forwarding rule — a dead end rather
-                        // than a wrong claim of ownership.
-                        Err(LookupFailure::DeadEnd(current))
-                    } else {
-                        Err(LookupFailure::WrongOwner(current))
-                    };
-                    return WalkStep::Done(outcome);
-                }
-                Some(next) => {
-                    if plan.probe(current, next, trace.hops, self.is_live(next), trace) {
-                        return WalkStep::Forward(next);
-                    } else if !plan.is_transparent() && !aux_banned {
-                        // Probe failure already excluded `next` via
-                        // `trace.dead_probed`; if it was a cached pointer
-                        // (absent from the core tables), ban the rest of
-                        // the aux set here and fall back to core state.
-                        let core = self
-                            .nodes
-                            .get(&current.value())
-                            .map(|node| node.known_neighbors_with(&[]))
-                            .unwrap_or_default();
-                        if core.binary_search(&next).is_err() {
-                            aux_banned = true;
-                            trace.fallbacks += 1;
-                        }
-                    }
-                }
-            }
-        }
+        rule::step(self, current, key, true_owner, aux_of, plan, trace, scratch)
     }
 
     fn forget_neighbor(&mut self, id: Id, dead: Id) {

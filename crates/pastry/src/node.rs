@@ -31,26 +31,9 @@ impl PastryNode {
 
     /// All distinct known nodes: routing table, leaf set, auxiliaries.
     pub fn known_neighbors(&self) -> Vec<Id> {
-        self.known_neighbors_with(&self.aux)
-    }
-
-    /// [`known_neighbors`](Self::known_neighbors) with `extra` standing in
-    /// for the installed auxiliary set, so read-only routing can resolve
-    /// auxiliary pointers from a shared side table over one immutable
-    /// snapshot; passing the set `set_aux` would have installed yields the
-    /// same list.
-    pub fn known_neighbors_with(&self, extra: &[Id]) -> Vec<Id> {
-        let mut out: Vec<Id> = self
-            .rows
-            .iter()
-            .flatten()
-            .flatten()
-            .copied()
-            .chain(self.leaves.iter().copied())
-            .chain(extra.iter().copied())
-            .filter(|&n| n != self.id)
-            .collect();
-        out.sort();
+        let mut out = self.core_neighbors();
+        out.extend(self.aux.iter().copied().filter(|&n| n != self.id));
+        out.sort_unstable();
         out.dedup();
         out
     }

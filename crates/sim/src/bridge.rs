@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::overlay::SimOverlay;
-use crate::stable::{aux_lookup, build_stable, StableConfig, StableSetup};
+use crate::stable::{build_stable, StableConfig, StableSetup};
 
 /// The stable driver's world, frozen for an external runtime: overlay
 /// snapshot, node ids, both strategies' auxiliary selections, and the
@@ -58,19 +58,6 @@ impl RuntimeFixture {
     /// space).
     pub fn node_ids(&self) -> &[Id] {
         &self.setup.node_ids
-    }
-
-    /// The frequency-aware auxiliary set of `id` (empty for unknown ids),
-    /// resolved exactly as the driver's aware measurement pass resolves
-    /// it.
-    pub fn aware_aux(&self, id: Id) -> &[Id] {
-        aux_lookup(&self.setup.aux_index, Some(&self.setup.aware_sets), id)
-    }
-
-    /// The frequency-oblivious auxiliary set of `id` (empty for unknown
-    /// ids).
-    pub fn oblivious_aux(&self, id: Id) -> &[Id] {
-        aux_lookup(&self.setup.aux_index, Some(&self.setup.oblivious_sets), id)
     }
 
     /// The aware selection as an owned `(node, aux)` table in generation
@@ -165,17 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn aux_accessors_match_the_side_tables() {
+    fn aux_tables_follow_generation_order() {
         let fixture = RuntimeFixture::build(&tiny());
-        let table = fixture.aware_table();
-        assert_eq!(table.len(), fixture.node_ids().len());
-        for (node, aux) in &table {
-            assert_eq!(fixture.aware_aux(*node), aux.as_slice());
+        for table in [fixture.aware_table(), fixture.oblivious_table()] {
+            let nodes: Vec<Id> = table.iter().map(|&(node, _)| node).collect();
+            assert_eq!(nodes, fixture.node_ids());
         }
-        // Unknown ids resolve to the empty set, never panic.
-        let absent = Id::new(u128::MAX);
-        assert!(fixture.aware_aux(absent).is_empty());
-        assert!(fixture.oblivious_aux(absent).is_empty());
         assert_eq!(fixture.config().queries, 50);
     }
 }

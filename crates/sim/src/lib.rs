@@ -12,12 +12,10 @@
 //!   the runtime-vs-sim differential.
 //! * [`stable`] — the stable-mode driver (§VI: exact node popularities,
 //!   no churn).
-//! * [`sharded`] — the same driver re-homed into per-shard arenas with
-//!   flat auxiliary slabs, streaming accumulators, and Space-Saving
-//!   delta-driven incremental refreshes (bit-identical at any shard and
-//!   thread count).
 //! * [`scale`] — the virtual-arena engine for populations (10⁵–10⁶)
-//!   the materialised substrates cannot hold.
+//!   the materialised substrates cannot hold: per-shard fixed-stride
+//!   auxiliary slabs and streaming accumulators over the same Pastry
+//!   routing step (bit-identical at any shard and thread count).
 //! * [`churn`] — the churn-mode driver (§VI-C: exponential alive/dead
 //!   periods, periodic stabilization and auxiliary recomputation, paired
 //!   schedules across strategies).
@@ -41,7 +39,6 @@ pub mod metrics;
 pub mod overlay;
 pub mod refresh;
 pub mod scale;
-pub mod sharded;
 pub mod stable;
 
 pub use bridge::{QueryStream, RuntimeFixture};
@@ -55,10 +52,9 @@ pub use metrics::{reduction_pct, FaultMetrics, HopAccumulator, QueryMetrics};
 pub use overlay::{OverlayKind, QueryOutcome, SimOverlay};
 pub use refresh::ChurnRecomputeBench;
 pub use scale::{
-    run_scale_churn, run_scale_stable, ScaleChurnConfig, ScaleChurnReport, ScaleChurnRound,
-    ScaleConfig, ScaleReport,
+    run_scale_churn, run_scale_stable, shard_count_for, ScaleChurnConfig, ScaleChurnReport,
+    ScaleChurnRound, ScaleConfig, ScaleReport,
 };
-pub use sharded::{run_stable_sharded, shard_count_for, ShardedOverlay};
 pub use stable::{
     run_stable, run_stable_faulted, RankingMode, SelectionBench, StableConfig, StableFaultReport,
     StableReport,

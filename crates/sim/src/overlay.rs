@@ -173,10 +173,9 @@ impl SimOverlay {
     }
 
     /// [`core_neighbors`](Self::core_neighbors) into a caller-owned
-    /// buffer — the arena-facing walk API. Sharded sweeps call this once
-    /// per node with one scratch buffer per shard, so building selection
-    /// inputs for a whole arena allocates nothing per node. An unknown
-    /// `node` leaves `out` cleared.
+    /// buffer. The churn refresh engine calls this once per dirty node
+    /// with one retained buffer, so a recompute tick allocates nothing per
+    /// node. An unknown `node` leaves `out` cleared.
     pub fn core_neighbors_into(&self, node: Id, out: &mut Vec<Id>) {
         out.clear();
         match self {

@@ -2,18 +2,17 @@
 //! popularities change, the optimal auxiliary set can be maintained
 //! incrementally").
 //!
-//! Both drivers that re-select auxiliary sets as observations accrue —
-//! the sharded stable engine and the churn driver — share the same core
-//! move: keep the [`PastryOptimizer`] a node's current selection was
-//! solved with, diff the node's **new** candidate pool against the
-//! **mirror** pool the trie currently encodes, apply only the delta
-//! (`update_weight` / `insert` / `remove`, each `O(k·b)`), and re-select.
-//! Every mutator fully recomputes the affected trie spine, so the trie
-//! state stays a pure function of its leaf multiset and the re-selection
-//! is bit-identical to a fresh full solve over the new pool — the
-//! property the sharded and churn equivalence suites pin down.
+//! The churn driver re-selects auxiliary sets as observations accrue
+//! with one core move: keep the [`PastryOptimizer`] a node's current
+//! selection was solved with, diff the node's **new** candidate pool
+//! against the **mirror** pool the trie currently encodes, apply only the
+//! delta (`update_weight` / `insert` / `remove`, each `O(k·b)`), and
+//! re-select. Every mutator fully recomputes the affected trie spine, so
+//! the trie state stays a pure function of its leaf multiset and the
+//! re-selection is bit-identical to a fresh full solve over the new pool
+//! — the property the churn equivalence suite pins down.
 //!
-//! This module extracts that path out of `sharded.rs` into two layers:
+//! The engine has two layers:
 //!
 //! * [`RetainedPastry`] — one node's retained optimizer, mirror pool,
 //!   and selection scratch. Substrate-generic over the trie family
@@ -450,9 +449,8 @@ impl ChurnRefresh {
                 }
             }
             OverlayKind::Chord | OverlayKind::SkipGraph => {
-                // No incremental solver for the ring DP (the fallback
-                // the sharded engine takes too): re-solve from the raw
-                // snapshot. The clean skip above still spares untouched
+                // No incremental solver for the ring DP: re-solve from
+                // the raw snapshot. The clean skip above still spares untouched
                 // nodes the solve.
                 match overlay.select_aware_into(node, &self.snap, k, &mut self.scratch) {
                     Ok(sel) => {

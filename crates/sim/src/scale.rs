@@ -9,7 +9,10 @@
 //! experiment's shape: identical Zipf rankings, exact owner
 //! popularities, the optimal aware selection per node, a slice-balanced
 //! oblivious baseline, and three measurement passes over one shared
-//! query stream.
+//! query stream. Lookups run through the one routing walk,
+//! [`peercache_faults::walk`], under a transparent plan: the arena's
+//! `Substrate::step` is the materialised network's Pastry rule, read
+//! over the virtual tables.
 //!
 //! **Documented divergence from the paper path** (see DESIGN.md): arena
 //! routing tables are deterministic hash picks (distributionally
@@ -28,9 +31,10 @@
 
 use peercache_core::pastry::PastryWorkspace;
 use peercache_core::{Candidate, PastryProblem};
+use peercache_faults::{walk, FaultPlan, FaultedRoute};
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
-use peercache_pastry::{ArenaScratch, PastryArena, PastryConfig, RoutingMode};
+use peercache_pastry::{PastryArena, PastryConfig, RoutingMode};
 use peercache_workload::{random_ids, ItemCatalog, NodeWorkload, Ranking, Zipf};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -39,7 +43,96 @@ use serde::Serialize;
 
 use crate::metrics::{reduction_pct, HopAccumulator, QueryMetrics};
 use crate::refresh::CounterSlab;
-use crate::sharded::{AuxSlab, ShardLayout, QUERY_CHUNK};
+
+/// Queries per measurement task. Like the selection fan-out's
+/// `SELECT_CHUNK`, chunking is by fixed size — never by thread count —
+/// and every chunk's accumulator merges by order-independent integer
+/// sums, so the merged metrics are bit-identical at any thread count.
+const QUERY_CHUNK: usize = 4096;
+
+/// The deterministic shard count for a population of `nodes`: one shard
+/// per 8192 nodes, clamped to `[1, 64]`. A pure function of the config —
+/// the thread count never feeds in — so two runs of the same config
+/// shard identically regardless of the host.
+pub fn shard_count_for(nodes: usize) -> usize {
+    nodes.div_ceil(8192).clamp(1, 64)
+}
+
+/// The contiguous shard partition of the rank space `0..n` (delegating
+/// to [`peercache_par::shard_bounds`] so every consumer slices
+/// identically).
+struct ShardLayout {
+    bounds: Vec<(usize, usize)>,
+}
+
+impl ShardLayout {
+    /// Partition `len` slots into `shards` balanced contiguous ranges.
+    fn new(len: usize, shards: usize) -> Self {
+        ShardLayout {
+            bounds: peercache_par::shard_bounds(len, shards),
+        }
+    }
+
+    /// Number of shards (≥ 1; trailing shards may be empty).
+    fn shards(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// The `[start, end)` slot range of shard `s`.
+    fn bounds(&self, s: usize) -> (usize, usize) {
+        self.bounds[s]
+    }
+
+    /// The shard owning global slot `slot` (slots past the end map to
+    /// the last shard; callers only pass in-range slots).
+    fn shard_of(&self, slot: usize) -> usize {
+        self.bounds
+            .partition_point(|&(_, end)| end <= slot)
+            .min(self.bounds.len() - 1)
+    }
+}
+
+/// A flat fixed-stride auxiliary slab: shard-local slot `i`'s set lives
+/// at `ids[i·stride .. i·stride + lens[i]]`. One allocation per shard
+/// per strategy, reused across refreshes — refreshing a node's set
+/// writes in place instead of reallocating a `Vec<Id>`.
+struct AuxSlab {
+    stride: usize,
+    lens: Vec<usize>,
+    ids: Vec<Id>,
+}
+
+impl AuxSlab {
+    fn new(stride: usize, count: usize) -> Self {
+        AuxSlab {
+            stride,
+            lens: vec![0; count],
+            ids: vec![Id::new(0); stride * count],
+        }
+    }
+
+    fn set(&mut self, local: usize, set: &[Id]) {
+        debug_assert!(set.len() <= self.stride, "aux sets are bounded by k");
+        let base = local * self.stride;
+        self.ids[base..base + set.len()].copy_from_slice(set);
+        self.lens[local] = set.len();
+    }
+
+    fn get(&self, local: usize) -> &[Id] {
+        let base = local * self.stride;
+        &self.ids[base..base + self.lens[local]]
+    }
+}
+
+/// Record one walk: the arena is immutable and every member live, so a
+/// transparent plan never times out and no origin is ever down.
+fn record(acc: &mut HopAccumulator, route: &FaultedRoute) {
+    acc.record(
+        route.outcome.is_ok(),
+        route.trace.hops,
+        route.trace.timeouts,
+    );
+}
 
 /// Configuration of one scale run (Pastry substrate only — fig3's).
 #[derive(Clone, Debug)]
@@ -63,8 +156,6 @@ pub struct ScaleConfig {
     /// Master seed.
     pub seed: u64,
     /// Shard count (defaults to [`shard_count_for`]).
-    ///
-    /// [`shard_count_for`]: crate::sharded::shard_count_for
     pub shards: usize,
 }
 
@@ -83,7 +174,7 @@ impl ScaleConfig {
             k: crate::experiments::log2(nodes),
             queries: 50_000,
             seed,
-            shards: crate::sharded::shard_count_for(nodes),
+            shards: shard_count_for(nodes),
         }
     }
 }
@@ -415,26 +506,23 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
         slab(shard).get(rank - shard.start)
     }
 
+    let plan = FaultPlan::transparent(config.seed);
     let measure = |select: Option<fn(&ShardSlabs) -> &AuxSlab>| -> QueryMetrics {
+        let aux_of = |id| match select {
+            Some(slab) => resolve(&arena, &layout, &shards, slab, id),
+            None => &[],
+        };
         let accs = peercache_par::par_map_chunked(&queries, QUERY_CHUNK, |_, chunk| {
             let mut acc = HopAccumulator::new();
-            let mut scratch = ArenaScratch::new();
             for &(origin, item) in chunk {
-                let from = arena.ids()[origin];
-                let key = catalog.key(item);
-                let route = arena.route_with_aux(
-                    from,
-                    key,
-                    |id| match select {
-                        Some(slab) => resolve(&arena, &layout, &shards, slab, id),
-                        None => &[],
-                    },
-                    &mut scratch,
+                let route = walk(
+                    &arena,
+                    arena.ids()[origin],
+                    catalog.key(item),
+                    aux_of,
+                    &plan,
                 );
-                match route {
-                    Some(route) => acc.record(route.is_success(), route.hops, 0),
-                    None => acc.record(false, 0, 0),
-                }
+                record(&mut acc, &route);
             }
             vec![acc]
         });
@@ -600,6 +688,7 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
         + n * std::mem::size_of::<usize>()
         + 2 * n;
 
+    let plan = FaultPlan::transparent(sc.seed);
     let mut rng_churn = StdRng::seed_from_u64(sc.seed.wrapping_add(5));
     let mut rng_queries = StdRng::seed_from_u64(sc.seed.wrapping_add(2));
     let mut rounds_out = Vec::with_capacity(config.rounds);
@@ -654,14 +743,15 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
         let chunk_results = peercache_par::par_map_chunked(&queries, QUERY_CHUNK, |_, chunk| {
             let mut acc = HopAccumulator::new();
             let mut observations = Vec::with_capacity(chunk.len());
-            let mut scratch = ArenaScratch::new();
             for &(origin, item) in chunk {
-                let from = arena.ids()[origin];
-                let key = catalog.key(item);
-                match arena.route_with_aux(from, key, resolve, &mut scratch) {
-                    Some(route) => acc.record(route.is_success(), route.hops, 0),
-                    None => acc.record(false, 0, 0),
-                }
+                let route = walk(
+                    &arena,
+                    arena.ids()[origin],
+                    catalog.key(item),
+                    resolve,
+                    &plan,
+                );
+                record(&mut acc, &route);
                 let owner_rank = walk_alive(&alive, owner_ranks[item]);
                 observations.push((origin, arena.ids()[owner_rank]));
             }
@@ -836,6 +926,164 @@ mod tests {
         let serial =
             peercache_par::with_threads(1, || run_scale_churn(&quick_churn_config(384, 7)));
         assert_eq!(base, serial);
+    }
+
+    /// One pass as `(issued, succeeded, failed, total_hops,
+    /// failed_probes, hop_histogram)`.
+    type Pin = (u64, u64, u64, u64, u64, &'static [u64]);
+
+    fn pin_of(m: &QueryMetrics) -> (u64, u64, u64, u64, u64, &[u64]) {
+        (
+            m.issued,
+            m.succeeded,
+            m.failed,
+            m.total_hops,
+            m.failed_probes,
+            &m.hop_histogram,
+        )
+    }
+
+    /// The quick configs' reports, recorded before the arena's routing
+    /// moved onto the shared Pastry rule: any drift in a forwarding
+    /// decision shows up as a changed hop histogram.
+    #[test]
+    fn scale_reports_match_recorded_pins() {
+        const STABLE: [(usize, usize, [Pin; 3]); 2] = [
+            (
+                512,
+                4,
+                [
+                    (
+                        2000,
+                        2000,
+                        0,
+                        3418,
+                        0,
+                        &[3, 1415, 135, 209, 130, 64, 43, 0, 1],
+                    ),
+                    (2000, 2000, 0, 5945, 0, &[3, 99, 498, 836, 486, 70, 8]),
+                    (
+                        2000,
+                        2000,
+                        0,
+                        7512,
+                        0,
+                        &[3, 54, 257, 540, 587, 398, 144, 14, 3],
+                    ),
+                ],
+            ),
+            (
+                384,
+                7,
+                [
+                    (2000, 2000, 0, 3739, 0, &[5, 965, 576, 253, 151, 41, 9]),
+                    (2000, 2000, 0, 5792, 0, &[5, 111, 552, 845, 400, 80, 7]),
+                    (
+                        2000,
+                        2000,
+                        0,
+                        7458,
+                        0,
+                        &[5, 75, 268, 526, 562, 390, 147, 27],
+                    ),
+                ],
+            ),
+        ];
+        for (n, shards, [aware, oblivious, core_only]) in STABLE {
+            let report = run_scale_stable(&quick_config(n, shards));
+            assert_eq!(pin_of(&report.aware), aware, "n={n} aware");
+            assert_eq!(pin_of(&report.oblivious), oblivious, "n={n} oblivious");
+            assert_eq!(pin_of(&report.core_only), core_only, "n={n} core-only");
+        }
+
+        // `(flips, alive, refreshed, metrics)` per round.
+        type Round = (usize, usize, usize, Pin);
+        const CHURN: [(usize, usize, [Round; 3]); 2] = [
+            (
+                512,
+                4,
+                [
+                    (
+                        64,
+                        450,
+                        430,
+                        (
+                            1500,
+                            1500,
+                            0,
+                            5838,
+                            0,
+                            &[1, 50, 155, 391, 436, 280, 154, 27, 6],
+                        ),
+                    ),
+                    (
+                        64,
+                        412,
+                        398,
+                        (
+                            1500,
+                            1500,
+                            0,
+                            4061,
+                            0,
+                            &[1, 437, 264, 328, 300, 120, 39, 10, 1],
+                        ),
+                    ),
+                    (
+                        64,
+                        388,
+                        375,
+                        (1500, 1500, 0, 3523, 0, &[1, 594, 275, 295, 216, 90, 23, 6]),
+                    ),
+                ],
+            ),
+            (
+                384,
+                7,
+                [
+                    (
+                        48,
+                        340,
+                        335,
+                        (
+                            1500,
+                            1500,
+                            0,
+                            5384,
+                            0,
+                            &[2, 66, 246, 400, 424, 261, 83, 17, 1],
+                        ),
+                    ),
+                    (
+                        48,
+                        308,
+                        299,
+                        (1500, 1500, 0, 3711, 0, &[5, 463, 338, 324, 273, 75, 21, 1]),
+                    ),
+                    (
+                        48,
+                        284,
+                        279,
+                        (1500, 1500, 0, 3227, 0, &[3, 622, 325, 316, 171, 55, 8]),
+                    ),
+                ],
+            ),
+        ];
+        for (n, shards, rounds) in CHURN {
+            let report = run_scale_churn(&quick_churn_config(n, shards));
+            assert_eq!(report.rounds.len(), rounds.len());
+            for (i, (round, (flips, alive, refreshed, metrics))) in
+                report.rounds.iter().zip(rounds).enumerate()
+            {
+                assert_eq!(
+                    (round.flips, round.alive, round.refreshed),
+                    (flips, alive, refreshed),
+                    "n={n} round {i}"
+                );
+                assert_eq!(pin_of(&round.metrics), metrics, "n={n} round {i} metrics");
+            }
+            assert_eq!(report.state_bytes_per_node, 411.0, "n={n} churn state");
+        }
     }
 
     #[test]

@@ -119,8 +119,8 @@ pub struct StableReport {
 /// Everything a measurement pass needs, built once per run: the frozen
 /// overlay snapshot plus both strategies' selected auxiliary sets.
 ///
-/// Extracted so the stable driver, the sharded engine and the runtime
-/// bridge share one construction path — RNG stream consumption order is
+/// Extracted so the stable driver and the runtime bridge share one
+/// construction path — RNG stream consumption order is
 /// part of the reproducibility contract and must not fork between them.
 pub(crate) struct StableSetup {
     pub(crate) node_ids: Vec<Id>,
@@ -265,28 +265,9 @@ impl SelectionBench {
     }
 }
 
-/// The per-ranking owner-weight aggregates retained past the build —
-/// what the sharded driver's Space-Saving delta engine re-combines with
-/// live counters to refresh selections incrementally.
-pub(crate) struct SelectionAggregates {
-    /// One exact owner-weight snapshot per ranking in the pool.
-    pub(crate) pool_weights: Vec<FrequencySnapshot>,
-    /// node index → ranking (and thereby → `pool_weights` entry).
-    pub(crate) assignment: RankingAssignment,
-}
-
 /// Build the shared stable-mode state: topology, workloads, and both
 /// strategies' auxiliary selections.
 pub(crate) fn build_stable(config: &StableConfig) -> StableSetup {
-    build_stable_retaining(config).0
-}
-
-/// [`build_stable`] that also hands back the selection aggregates the
-/// monolithic driver would drop. Single construction path: the RNG
-/// stream consumption order is identical to [`build_stable`] by
-/// construction, so a sharded run built through here sees the exact
-/// topology, selections, and workloads of the monolithic run.
-pub(crate) fn build_stable_retaining(config: &StableConfig) -> (StableSetup, SelectionAggregates) {
     let inputs = build_selection_inputs(config);
     let mut rng_select = StdRng::seed_from_u64(config.seed.wrapping_add(3));
 
@@ -320,7 +301,7 @@ pub(crate) fn build_stable_retaining(config: &StableConfig) -> (StableSetup, Sel
         zipf,
         assignment,
         overlay,
-        pool_weights,
+        ..
     } = inputs;
     // The measurement passes resolve auxiliary sets by *id* from a side
     // table; `node_ids` are in generation order.
@@ -333,21 +314,15 @@ pub(crate) fn build_stable_retaining(config: &StableConfig) -> (StableSetup, Sel
         .map(|(idx, &n)| (n, idx))
         .collect();
     aux_index.sort_unstable();
-    (
-        StableSetup {
-            node_ids,
-            catalog,
-            overlay,
-            aware_sets,
-            oblivious_sets,
-            per_node_workloads,
-            aux_index,
-        },
-        SelectionAggregates {
-            pool_weights,
-            assignment,
-        },
-    )
+    StableSetup {
+        node_ids,
+        catalog,
+        overlay,
+        aware_sets,
+        oblivious_sets,
+        per_node_workloads,
+        aux_index,
+    }
 }
 
 /// The outcome of one fault-injected stable-mode comparison.

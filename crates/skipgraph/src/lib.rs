@@ -13,8 +13,9 @@
 //! levels as it closes in — `O(log n)` hops w.h.p. Auxiliary neighbors
 //! (the paper's contribution) are extra long-range links consulted
 //! exactly like level links (§III-1). The Chord selection algorithm
-//! transfers by running it in rank space: see the `ext_skipgraph`
-//! experiment in `peercache-bench`.
+//! transfers by running it in rank space: see the skip-graph arm of
+//! `SimOverlay::select_aware_into` in `peercache-sim`, which the stable
+//! driver (and the `ext_all_overlays` experiment) runs.
 //!
 //! The forwarding rule lives in one function, [`SkipGraphNetwork`]'s
 //! `peercache_faults::Substrate::step`. [`SkipGraphNetwork::search`] is
