@@ -87,15 +87,15 @@ fn main() {
     for &origin in &sample {
         // (1) core only.
         for &node in &node_ids {
-            overlay.set_aux(node, vec![]);
+            overlay.set_aux(node, &[]);
         }
         none += measure(&mut overlay, origin);
         // (2) only the origin selects.
-        overlay.set_aux(node_ids[origin], selections[origin].clone());
+        overlay.set_aux(node_ids[origin], &selections[origin]);
         solo += measure(&mut overlay, origin);
         // (3) the whole fleet selects.
         for (idx, &node) in node_ids.iter().enumerate() {
-            overlay.set_aux(node, selections[idx].clone());
+            overlay.set_aux(node, &selections[idx]);
         }
         fleet += measure(&mut overlay, origin);
     }

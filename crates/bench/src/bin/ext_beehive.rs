@@ -56,7 +56,7 @@ fn main() {
             .map(|(id, w)| Candidate::new(id, w))
             .collect();
         let sel = select_fast(&ChordProblem::new(space, node, core, cands, k).unwrap()).unwrap();
-        overlay.set_aux(node, sel.aux);
+        overlay.set_aux(node, &sel.aux);
     }
     let mut rng_q = StdRng::seed_from_u64(12);
     let mut hops_peer = 0u64;
@@ -73,7 +73,7 @@ fn main() {
     // Budget n·k replicas, shared by popularity; item i's replicas sit on
     // the r_i nodes preceding its owner on the ring.
     for &node in &node_ids {
-        overlay.set_aux(node, vec![]);
+        overlay.set_aux(node, &[]);
     }
     let mut budget = (n * k) as i64;
     let mut by_pop: Vec<usize> = (0..items).collect();

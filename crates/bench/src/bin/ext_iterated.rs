@@ -80,7 +80,7 @@ fn main() {
             .collect();
         let core = overlay.core_neighbors(node);
         let sel = select_fast(&ChordProblem::new(space, node, core, cands, k).unwrap()).unwrap();
-        overlay.set_aux(node, sel.aux);
+        overlay.set_aux(node, &sel.aux);
     }
     let model_hops = measure(&mut overlay);
 
@@ -99,7 +99,7 @@ fn main() {
                 SimOverlay::Tapestry(net) => net.node(node).unwrap().aux.clone(),
                 SimOverlay::SkipGraph(net) => net.node(node).unwrap().aux.clone(),
             };
-            overlay.set_aux(node, vec![]);
+            overlay.set_aux(node, &[]);
             let mut benefit: HashMap<Id, f64> = HashMap::new();
             for (cand, w) in weights[idx].iter() {
                 let hops = f64::from(overlay.query(node, cand).hops);
@@ -114,7 +114,7 @@ fn main() {
             if chosen != prev {
                 changed += 1;
             }
-            overlay.set_aux(node, chosen);
+            overlay.set_aux(node, &chosen);
         }
         let hops = measure(&mut overlay);
         history.push((round + 1, changed, hops));
@@ -130,7 +130,7 @@ fn main() {
         let sel = overlay
             .select_oblivious_uniform(node, k, &mut rng_select)
             .unwrap();
-        overlay.set_aux(node, sel.aux);
+        overlay.set_aux(node, &sel.aux);
     }
     let oblivious_hops = measure(&mut overlay);
 

@@ -54,7 +54,7 @@ fn main() {
                 .collect();
             let problem = ChordProblem::new(space, node, core, cands, k).unwrap();
             let sel = select_fast(&problem).expect("feasible: bounds are loose");
-            overlay.set_aux(node, sel.aux);
+            overlay.set_aux(node, &sel.aux);
         }
         // Route: hot-item queries carry the bound, the rest are bulk.
         let mut rng = StdRng::seed_from_u64(32);

@@ -69,7 +69,7 @@ impl Error for NetworkError {}
 /// let result = ring.lookup(Id::new(10), Id::new(100)).unwrap();
 /// assert!(result.is_success());
 /// // An auxiliary pointer turns the lookup into a single hop.
-/// ring.set_aux(Id::new(10), vec![Id::new(80)]).unwrap();
+/// ring.set_aux(Id::new(10), &[Id::new(80)]).unwrap();
 /// assert_eq!(ring.lookup(Id::new(10), Id::new(100)).unwrap().hops, 1);
 /// ```
 #[derive(Clone)]
@@ -397,28 +397,13 @@ impl ChordNetwork {
     /// Install the auxiliary neighbor set for `id` (dead entries are
     /// dropped on installation, as the selection runs against possibly
     /// stale frequency tables).
+    /// The node's installed buffer is recycled, so re-installing a
+    /// selection at warmed capacity allocates nothing (the churn
+    /// driver's refresh engine does so every recompute tick).
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`].
-    pub fn set_aux(&mut self, id: Id, aux: Vec<Id>) -> Result<(), NetworkError> {
-        let live: Vec<Id> = aux.into_iter().filter(|&a| self.is_live(a)).collect();
-        let node = self
-            .nodes
-            .get_mut(&id.value())
-            .ok_or(NetworkError::NotPresent(id))?;
-        node.aux = live;
-        Ok(())
-    }
-
-    /// [`set_aux`](Self::set_aux) from a borrowed slice, recycling the
-    /// node's installed buffer instead of taking ownership of a fresh
-    /// `Vec`: the churn driver's refresh engine re-installs a retained
-    /// selection every recompute tick, and at warmed capacity this
-    /// installs without allocating. The live-entry filter is identical.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`].
-    pub fn set_aux_from_slice(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
+    pub fn set_aux(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
         let mut live = match self.nodes.get_mut(&id.value()) {
             Some(node) => std::mem::take(&mut node.aux),
             None => return Err(NetworkError::NotPresent(id)),
@@ -464,13 +449,14 @@ impl Substrate for ChordNetwork {
             .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One Chord arrival: rank the known neighbors between `current` and
-    /// the key by clockwise distance to the key and probe them in order.
-    /// Under a non-transparent plan, the first timed-out
-    /// **auxiliary-only** candidate bans the remaining auxiliary pointers
-    /// at this arrival (`trace.fallbacks`). With no live candidate, the
-    /// node claims ownership iff the key falls before its first
-    /// surviving successor.
+    /// One Chord arrival, read from the node's table in place: probe the
+    /// usable known neighbor between `current` and the key that is
+    /// closest to the key clockwise; a timed-out one is excluded through
+    /// `trace.dead_probed` and the decision re-runs. Under a
+    /// non-transparent plan, the first timed-out **auxiliary-only**
+    /// candidate bans the remaining auxiliary pointers at this arrival
+    /// (`trace.fallbacks`). With no live candidate, the node claims
+    /// ownership iff the key falls before its first surviving successor.
     fn step<'a>(
         &self,
         current: Id,
@@ -497,42 +483,43 @@ impl Substrate for ChordNetwork {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
         let aux = plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
-        // Candidates between current and key, closest to the key first.
-        // Forward whenever any live one exists — a node may only claim
-        // ownership when it knows of NOTHING between itself and the key
-        // (its successor pointer might be stale while a freshly fixed
-        // finger already knows better).
-        let mut candidates: Vec<Id> = node
-            .known_neighbors_with(aux)
-            .into_iter()
-            .filter(|&w| space.between_open_closed(current, w, key))
-            .collect();
-        candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-        // Sorted core view, for spotting aux-only candidates; only a
-        // failed probe under a plan that can fall back needs it.
-        let mut core: Option<Vec<Id>> = None;
         let mut aux_banned = false;
-        scratch.dead.clear();
-        for w in candidates {
-            if aux_banned && core.as_ref().is_some_and(|c| c.binary_search(&w).is_err()) {
-                continue;
-            }
+        loop {
+            // Forward to the usable candidate between current and the key
+            // that is closest to the key — a node may only claim ownership
+            // when it knows of NOTHING between itself and the key (its
+            // successor pointer might be stale while a freshly fixed
+            // finger already knows better). A timed-out probe recorded
+            // `(current, w)` in `trace.dead_probed`, which excludes it.
+            // Clockwise distances are distinct, so this replays a probe
+            // order sorted by distance.
+            let extra: &[Id] = if aux_banned { &[] } else { aux };
+            let dead = &trace.dead_probed;
+            let Some(w) = node
+                .core()
+                .chain(extra.iter().copied())
+                .filter(|&w| {
+                    space.between_open_closed(current, w, key) && !dead.contains(&(current, w))
+                })
+                .min_by_key(|&w| space.clockwise_distance(w, key))
+            else {
+                break;
+            };
             if plan.probe(current, w, trace.hops, self.is_live(w), trace) {
                 return WalkStep::Forward(w);
-            }
-            scratch.dead.push(w);
-            if !aux_banned && !plan.is_transparent() {
-                let core = core.get_or_insert_with(|| node.known_neighbors_with(&[]));
-                if core.binary_search(&w).is_err() {
-                    aux_banned = true;
-                    trace.fallbacks += 1;
-                }
+            } else if !plan.is_transparent() && !aux_banned && !node.core().any(|c| c == w) {
+                aux_banned = true;
+                trace.fallbacks += 1;
             }
         }
         // The repairing walk forgets the dead candidates it probed before
         // anyone reads `successor()` again; skipping exactly those
         // entries reproduces that post-repair successor view read-only.
-        let believed = node.successors.iter().find(|s| !scratch.dead.contains(s));
+        let dead = &trace.dead_probed;
+        let believed = node
+            .successors
+            .iter()
+            .find(|&&s| !dead.contains(&(current, s)));
         // Predecessor assignment: `current` owns keys in
         // [current, successor).
         let owns = match believed {

@@ -42,27 +42,25 @@ impl ChordNode {
     /// All distinct routing candidates: fingers, successor list, and
     /// auxiliary neighbors (self excluded).
     pub fn known_neighbors(&self) -> Vec<Id> {
-        self.known_neighbors_with(&self.aux)
-    }
-
-    /// [`known_neighbors`](Self::known_neighbors) with `extra` standing in
-    /// for the installed auxiliary set. The read-only routing paths resolve
-    /// auxiliary pointers from a shared side table instead of mutating each
-    /// node, so many sweeps can route over one immutable snapshot; passing
-    /// the set that `set_aux` would have installed yields the same list.
-    pub fn known_neighbors_with(&self, extra: &[Id]) -> Vec<Id> {
         let mut out: Vec<Id> = self
-            .fingers
-            .iter()
-            .flatten()
-            .copied()
-            .chain(self.successors.iter().copied())
-            .chain(extra.iter().copied())
-            .filter(|&n| n != self.id)
+            .core()
+            .chain(self.aux.iter().copied().filter(|&n| n != self.id))
             .collect();
-        out.sort();
+        out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// The core entries in place — fingers, then the successor list,
+    /// self excluded, duplicates kept. Routing reads its candidates from
+    /// here without building a list.
+    pub(crate) fn core(&self) -> impl Iterator<Item = Id> + '_ {
+        self.fingers
+            .iter()
+            .flatten()
+            .chain(&self.successors)
+            .copied()
+            .filter(move |&n| n != self.id)
     }
 
     /// The core (non-auxiliary) neighbors: fingers plus successor list.
@@ -78,14 +76,7 @@ impl ChordNode {
     /// one buffer instead of allocating a fresh vector per node.
     pub fn core_neighbors_into(&self, out: &mut Vec<Id>) {
         out.clear();
-        out.extend(
-            self.fingers
-                .iter()
-                .flatten()
-                .copied()
-                .chain(self.successors.iter().copied())
-                .filter(|&n| n != self.id),
-        );
+        out.extend(self.core());
         out.sort_unstable();
         out.dedup();
     }

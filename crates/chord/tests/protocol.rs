@@ -125,7 +125,7 @@ fn aux_neighbors_shorten_routes() {
         .unwrap();
     let before = net.lookup(from, far).unwrap().hops;
     assert!(before >= 2);
-    net.set_aux(from, vec![far]).unwrap();
+    net.set_aux(from, &[far]).unwrap();
     let after = net.lookup(from, far).unwrap();
     assert!(after.is_success());
     assert_eq!(after.hops, 1, "direct pointer → one hop");
@@ -134,7 +134,7 @@ fn aux_neighbors_shorten_routes() {
 #[test]
 fn set_aux_drops_dead_entries() {
     let mut net = build(4, &[2, 7, 11]);
-    net.set_aux(id(2), vec![id(7), id(9)]).unwrap();
+    net.set_aux(id(2), &[id(7), id(9)]).unwrap();
     assert_eq!(net.node(id(2)).unwrap().aux, vec![id(7)], "9 is not live");
 }
 
@@ -236,7 +236,7 @@ fn membership_errors_are_reported() {
     assert!(net.fail(id(9)).is_err(), "unknown fail");
     assert!(net.leave(id(9)).is_err(), "unknown leave");
     assert!(net.stabilize(id(9)).is_err(), "unknown stabilize");
-    assert!(net.set_aux(id(9), vec![]).is_err());
+    assert!(net.set_aux(id(9), &[]).is_err());
     assert!(net.lookup(id(9), id(0)).is_err());
 }
 

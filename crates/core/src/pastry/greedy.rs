@@ -130,11 +130,6 @@ impl PastryOptimizer {
         self.trie.total_weight()
     }
 
-    /// Number of selectable candidates currently in the trie.
-    pub fn candidate_count(&self) -> u32 {
-        self.trie.vertex(Trie::ROOT).cand_count
-    }
-
     /// Minimum auxiliary pointers any feasible solution needs (QoS).
     pub fn required_pointers(&self) -> u32 {
         self.trie.vertex(Trie::ROOT).req

@@ -226,7 +226,7 @@ impl Trie {
     }
 
     /// Number of live vertices (diagnostics / tests).
-    pub fn vertex_count(&self) -> usize {
+    fn vertex_count(&self) -> usize {
         self.vertices.len() - self.free.len()
     }
 

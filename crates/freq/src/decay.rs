@@ -12,8 +12,7 @@ use crate::FrequencySnapshot;
 /// favours *recent* popularity without a hard window cutoff.
 ///
 /// Decay is applied lazily: each entry stores the weight as of its own last
-/// update. [`DecayingCounter::compact`] drops entries whose decayed weight
-/// fell below a threshold, bounding memory under churning access sets.
+/// update.
 #[derive(Clone, Debug)]
 pub struct DecayingCounter {
     half_life: f64,
@@ -45,20 +44,9 @@ impl DecayingCounter {
         }
     }
 
-    /// The configured half-life.
-    pub fn half_life(&self) -> f64 {
-        self.half_life
-    }
-
     /// Total raw (undecayed) observations recorded.
     pub fn observations(&self) -> u64 {
         self.observations
-    }
-
-    /// Number of peers currently tracked (including near-zero weights not
-    /// yet compacted away).
-    pub fn tracked(&self) -> usize {
-        self.entries.len()
     }
 
     fn decay_factor(&self, from: f64, to: f64) -> f64 {
@@ -93,22 +81,6 @@ impl DecayingCounter {
             Some(e) => e.weight,
             None => 0.0,
         }
-    }
-
-    /// Drop entries whose decayed weight at `now` is below `threshold`.
-    /// Returns the number of entries removed.
-    pub fn compact(&mut self, now: f64, threshold: f64) -> usize {
-        let before = self.entries.len();
-        let half_life = self.half_life;
-        self.entries.retain(|_, e| {
-            let w = if now >= e.last_update {
-                e.weight * (-(now - e.last_update) / half_life * std::f64::consts::LN_2).exp()
-            } else {
-                e.weight
-            };
-            w >= threshold
-        });
-        before - self.entries.len()
     }
 
     /// Freeze the decayed weights as of `now` into a snapshot.
@@ -169,18 +141,6 @@ mod tests {
         }
         assert!(c.weight_at(id(2), 100.0) > c.weight_at(id(1), 100.0));
         assert_eq!(c.observations(), 10);
-    }
-
-    #[test]
-    fn compact_drops_faded_entries() {
-        let mut c = DecayingCounter::new(1.0);
-        c.observe_at(id(1), 0.0);
-        c.observe_at(id(2), 100.0);
-        assert_eq!(c.tracked(), 2);
-        let removed = c.compact(100.0, 1e-6);
-        assert_eq!(removed, 1);
-        assert_eq!(c.tracked(), 1);
-        assert!(c.weight_at(id(2), 100.0) > 0.9);
     }
 
     #[test]

@@ -22,7 +22,7 @@ impl ExactCounter {
     }
 
     /// Record `count` accesses to `peer` at once.
-    pub fn observe_many(&mut self, peer: Id, count: u64) {
+    fn observe_many(&mut self, peer: Id, count: u64) {
         if count == 0 {
             return;
         }

@@ -95,20 +95,6 @@ impl SpaceSaving {
         self.entries.get(&peer).map(|s| s.over).unwrap_or(0)
     }
 
-    /// The smallest monitored count (the eviction threshold), zero when
-    /// not yet full.
-    pub fn min_count(&self) -> u64 {
-        if self.entries.len() < self.capacity {
-            0
-        } else {
-            self.buckets
-                .keys()
-                .next()
-                .copied()
-                .expect("full summary has buckets")
-        }
-    }
-
     fn bucket_remove(&mut self, count: u64, peer: Id) {
         let bucket = self
             .buckets
@@ -226,17 +212,6 @@ mod tests {
         assert_eq!(ss.estimate(id(5)), 0);
         assert_eq!(ss.estimate(id(9)), 1);
         assert_eq!(ss.estimate(id(7)), 2);
-    }
-
-    #[test]
-    fn min_count_zero_until_full() {
-        let mut ss = SpaceSaving::new(3);
-        assert_eq!(ss.min_count(), 0);
-        ss.observe(id(1));
-        assert_eq!(ss.min_count(), 0);
-        ss.observe(id(2));
-        ss.observe(id(3));
-        assert_eq!(ss.min_count(), 1);
     }
 
     #[test]

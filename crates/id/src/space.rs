@@ -159,22 +159,6 @@ impl IdSpace {
 
     // ---- prefix / digit decomposition (Pastry) -------------------------
 
-    /// Bit `index` of `id` counted from the most-significant end of the
-    /// `b`-bit representation (`index = 0` is the top bit).
-    ///
-    /// # Errors
-    /// Returns [`IdError::IndexOutOfRange`] if `index ≥ b`.
-    pub fn bit(self, id: Id, index: u8) -> Result<bool, IdError> {
-        if index >= self.bits {
-            return Err(IdError::IndexOutOfRange {
-                index,
-                len: self.bits,
-            });
-        }
-        let shift = self.bits - 1 - index;
-        Ok((id.0 >> shift) & 1 == 1)
-    }
-
     /// Length (in bits) of the longest common prefix of `a` and `b` within
     /// the `b`-bit representation. Equal ids share all `b` bits.
     #[inline]
@@ -385,17 +369,6 @@ mod tests {
         // degenerate: full ring.
         assert!(s.between_open_closed(Id::new(5), Id::new(5), Id::new(5)));
         assert!(s.between_closed_open(Id::new(5), Id::new(9), Id::new(5)));
-    }
-
-    #[test]
-    fn bit_indexing_from_msb() {
-        let s = sp(4);
-        let id = Id::new(0b1010);
-        assert!(s.bit(id, 0).unwrap());
-        assert!(!s.bit(id, 1).unwrap());
-        assert!(s.bit(id, 2).unwrap());
-        assert!(!s.bit(id, 3).unwrap());
-        assert!(matches!(s.bit(id, 4), Err(IdError::IndexOutOfRange { .. })));
     }
 
     #[test]

@@ -147,7 +147,9 @@ fn forbidden_labels(rule: Rule) -> &'static [&'static str] {
 
 fn contract_phrase(rule: Rule) -> &'static str {
     match rule {
-        Rule::L9 => "the solve_into kernels must not allocate in steady state",
+        Rule::L9 => {
+            "the solve_into kernels and the routing steps must not allocate in steady state"
+        }
         Rule::L10 => "the fault walks must degrade gracefully, never panic",
         Rule::L11 => "deterministic entry points must not read ambient state",
         _ => "",

@@ -48,7 +48,8 @@ pub enum Rule {
     L7,
     /// No direct f64 cost comparison in `core`/`sim` library code.
     L8,
-    /// No allocating construct reachable from the `solve_into` kernels.
+    /// No allocating construct reachable from the `solve_into` kernels
+    /// or the routing steps.
     L9,
     /// No panic construct reachable from the fault walks.
     L10,
@@ -136,7 +137,9 @@ impl Rule {
             Rule::L6 => "no HashMap/HashSet iteration in deterministic crates",
             Rule::L7 => "no unreferenced pub item in internal crates",
             Rule::L8 => "no direct f64 cost comparison in core/sim",
-            Rule::L9 => "no allocating construct reachable from solve_into kernels",
+            Rule::L9 => {
+                "no allocating construct reachable from solve_into kernels or routing steps"
+            }
             Rule::L10 => "no panic construct reachable from the fault walks",
             Rule::L11 => "no ambient-state source reachable from deterministic entry points",
             Rule::L12 => "RNG draw count balanced across branches in deterministic crates",
@@ -217,17 +220,20 @@ impl Rule {
                 "L9 — no allocating construct (`Vec::new`, `vec!`, `collect`, `to_vec`, \
                  `to_owned`, `to_string`, `Box::new`, `String::from`, `format!`, \
                  `.clone()`) in any function reachable from the workspace `solve_into` \
-                 kernels.\n\nThe zero-alloc contract (DESIGN.md \"Memory layout & \
-                 workspace reuse\") says a warmed `ChordWorkspace`/`PastryWorkspace` \
-                 solve allocates nothing in steady state; `perf_baseline`'s counting \
-                 allocator enforces it dynamically on the kernels it happens to run. \
-                 L9 is the static complement: the interprocedural pass (DESIGN.md \
-                 \"Interprocedural pass: call graph & reachability\") walks the call \
-                 graph from the `L9` roots in `lint.roots` and flags any allocating \
-                 construct on any reachable path — including paths no benchmark \
-                 exercises. Hoist the allocation into the workspace, or budget the \
-                 site in `lint.allow` with a proof that it is cold (error/diagnostic \
-                 paths only)."
+                 kernels or from a substrate's routing `step`.\n\nThe zero-alloc \
+                 contract (DESIGN.md \"Memory layout & workspace reuse\") says a \
+                 warmed `ChordWorkspace`/`PastryWorkspace` solve allocates nothing in \
+                 steady state, and every routing hop decides from the node's table in \
+                 place (DESIGN.md §6) instead of building a neighbour list; \
+                 `perf_baseline`'s counting allocator enforces the first dynamically \
+                 on the kernels it happens to run. L9 is the static complement: the \
+                 interprocedural pass (DESIGN.md \"Interprocedural pass: call graph & \
+                 reachability\") walks the call graph from the `L9` roots in \
+                 `lint.roots` and flags any allocating construct on any reachable \
+                 path — including paths no benchmark exercises. Hoist the allocation \
+                 into the workspace or the step's scratch, read the state where it \
+                 is stored, or budget the site in `lint.allow` with a proof that it \
+                 is cold (error/diagnostic paths only)."
             }
             Rule::L10 => {
                 "L10 — no panic construct (`unwrap`, `expect`, `panic!`, \

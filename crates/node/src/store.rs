@@ -190,7 +190,7 @@ impl PeerStore {
     /// entry, or touch `last_seen` if already known. Returns whether a
     /// new entry was inserted. Capacity is enforced lazily by
     /// [`expire`](Self::expire), so admissions never evict mid-run.
-    pub fn admit(&mut self, id: Id, now: Tick) -> bool {
+    fn admit(&mut self, id: Id, now: Tick) -> bool {
         match self.entries.binary_search_by_key(&id, |e| e.id) {
             Ok(pos) => {
                 if let Some(entry) = self.entries.get_mut(pos) {
@@ -213,8 +213,8 @@ impl PeerStore {
         }
     }
 
-    /// [`admit`](Self::admit) a whole selection; returns how many were
-    /// newly inserted.
+    /// Admit a whole selection (fresh entries inserted, known ones
+    /// touched); returns how many were newly inserted.
     pub fn admit_all<I: IntoIterator<Item = Id>>(&mut self, ids: I, now: Tick) -> usize {
         ids.into_iter().filter(|&id| self.admit(id, now)).count()
     }

@@ -9,10 +9,6 @@ use rand::Rng;
 use crate::node::PastryNode;
 use crate::{rule, RouteResult, RoutingMode};
 
-/// A point in the synthetic proximity space (FreePastry's simulation-mode
-/// topology: the unit square with Euclidean latency).
-pub type Coord = (f64, f64);
-
 /// Configuration of a Pastry deployment.
 #[derive(Copy, Clone, Debug)]
 pub struct PastryConfig {
@@ -139,7 +135,7 @@ pub struct PastryNetwork {
     digit_count: u8,
     arity: usize,
     nodes: BTreeMap<u128, PastryNode>,
-    coords: BTreeMap<u128, Coord>,
+    coords: BTreeMap<u128, (f64, f64)>,
 }
 
 impl PastryNetwork {
@@ -357,7 +353,7 @@ impl PastryNetwork {
     ///
     /// # Errors
     /// [`NetworkError::AlreadyPresent`] / [`NetworkError::OutOfSpace`].
-    pub fn join(&mut self, id: Id, coord: Coord) -> Result<(), NetworkError> {
+    pub fn join(&mut self, id: Id, coord: (f64, f64)) -> Result<(), NetworkError> {
         if !self.config.space.contains(id) {
             return Err(NetworkError::OutOfSpace(id));
         }
@@ -430,28 +426,13 @@ impl PastryNetwork {
     }
 
     /// Install the auxiliary neighbor set for `id` (dead entries dropped).
+    /// The node's installed buffer is recycled, so re-installing a
+    /// selection at warmed capacity allocates nothing (the churn
+    /// driver's refresh engine does so every recompute tick).
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`].
-    pub fn set_aux(&mut self, id: Id, aux: Vec<Id>) -> Result<(), NetworkError> {
-        let live: Vec<Id> = aux.into_iter().filter(|&a| self.is_live(a)).collect();
-        let node = self
-            .nodes
-            .get_mut(&id.value())
-            .ok_or(NetworkError::NotPresent(id))?;
-        node.aux = live;
-        Ok(())
-    }
-
-    /// [`set_aux`](Self::set_aux) from a borrowed slice, recycling the
-    /// node's installed buffer instead of taking ownership of a fresh
-    /// `Vec`: the churn driver's refresh engine re-installs a retained
-    /// selection every recompute tick, and at warmed capacity this
-    /// installs without allocating. The live-entry filter is identical.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`].
-    pub fn set_aux_from_slice(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
+    pub fn set_aux(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
         let mut live = match self.nodes.get_mut(&id.value()) {
             Some(node) => std::mem::take(&mut node.aux),
             None => return Err(NetworkError::NotPresent(id)),

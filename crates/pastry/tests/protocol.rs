@@ -114,7 +114,7 @@ fn aux_neighbors_shorten_routes() {
         .unwrap();
     let before = net.route(from, far).unwrap().hops;
     assert!(before >= 2);
-    net.set_aux(from, vec![far]).unwrap();
+    net.set_aux(from, &[far]).unwrap();
     let after = net.route(from, far).unwrap();
     assert!(after.is_success());
     assert_eq!(after.hops, 1);
@@ -135,8 +135,8 @@ fn locality_mode_prefers_near_candidates() {
             .map(|_| ids[rng.gen_range(0..ids.len())])
             .filter(|&a| a != node)
             .collect();
-        greedy.set_aux(node, aux.clone()).unwrap();
-        local.set_aux(node, aux).unwrap();
+        greedy.set_aux(node, &aux).unwrap();
+        local.set_aux(node, &aux).unwrap();
     }
     let (mut lat_greedy, mut lat_local) = (0.0, 0.0);
     let (mut hops_greedy, mut hops_local) = (0u64, 0u64);
@@ -209,7 +209,7 @@ fn set_aux_drops_dead_entries() {
     let (mut net, ids) = random_net(16, 1, 16, RoutingMode::GreedyPrefix, 13);
     let ghost = id(65_535);
     assert!(!ids.contains(&ghost));
-    net.set_aux(ids[0], vec![ids[1], ghost]).unwrap();
+    net.set_aux(ids[0], &[ids[1], ghost]).unwrap();
     assert_eq!(net.node(ids[0]).unwrap().aux, vec![ids[1]]);
 }
 
@@ -222,7 +222,7 @@ fn membership_errors_are_reported() {
     assert!(!ids.contains(&ghost));
     assert!(net.fail(ghost).is_err());
     assert!(net.leave(ghost).is_err());
-    assert!(net.set_aux(ghost, vec![]).is_err());
+    assert!(net.set_aux(ghost, &[]).is_err());
     assert!(net.route(ghost, id(0)).is_err());
 }
 

@@ -7,20 +7,18 @@
 //! runtime routes the *same* queries hop by hop as `Lookup` messages
 //! instead. For the differential between the two to be byte-exact, both
 //! must consume identical inputs — so this module exposes the driver's
-//! construction path (topology, selections, workloads) and replays its
-//! query stream draw by draw ([`QueryStream`] consumes the
-//! `seed + 2` RNG in exactly the order the measurement passes do).
+//! construction path (topology, selections, workloads) and its query
+//! stream: [`RuntimeFixture::queries`] hands out the one [`QueryStream`]
+//! the measurement passes iterate, so the two cannot fork.
 //!
 //! Nothing here re-derives state: [`RuntimeFixture`] wraps the very
 //! `StableSetup` the driver uses, so a divergence between sim and
 //! runtime can only come from the walk execution, never the inputs.
 
 use peercache_id::Id;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::overlay::SimOverlay;
-use crate::stable::{build_stable, StableConfig, StableSetup};
+use crate::stable::{build_stable, QueryStream, StableConfig, StableSetup};
 
 /// The stable driver's world, frozen for an external runtime: overlay
 /// snapshot, node ids, both strategies' auxiliary selections, and the
@@ -83,45 +81,11 @@ impl RuntimeFixture {
             .collect()
     }
 
-    /// The driver's query stream, replayed draw by draw: `queries`
-    /// `(origin, key)` pairs from the `seed + 2` RNG, consuming it in
-    /// exactly the measurement passes' order (origin index, then the
-    /// origin's workload item).
+    /// The driver's query stream: the very [`QueryStream`] the
+    /// measurement passes iterate — `queries` `(origin, key)` pairs from
+    /// the `seed + 2` RNG (origin index, then the origin's workload item).
     pub fn queries(&self) -> QueryStream<'_> {
-        QueryStream {
-            fixture: self,
-            rng: StdRng::seed_from_u64(self.config.seed.wrapping_add(2)),
-            remaining: self.config.queries,
-        }
-    }
-}
-
-/// Iterator over the stable driver's `(origin, key)` query sequence.
-/// See [`RuntimeFixture::queries`].
-pub struct QueryStream<'a> {
-    fixture: &'a RuntimeFixture,
-    rng: StdRng,
-    remaining: usize,
-}
-
-impl Iterator for QueryStream<'_> {
-    type Item = (Id, Id);
-
-    fn next(&mut self) -> Option<(Id, Id)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let setup = &self.fixture.setup;
-        let origin_idx = self.rng.gen_range(0..self.fixture.config.nodes);
-        let workload = setup.per_node_workloads.get(origin_idx)?;
-        let item = workload.sample_item(&mut self.rng);
-        let origin = setup.node_ids.get(origin_idx).copied()?;
-        Some((origin, setup.catalog.key(item)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        QueryStream::new(&self.setup, &self.config)
     }
 }
 

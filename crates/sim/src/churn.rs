@@ -13,7 +13,7 @@
 use peercache_faults::{FaultConfig, FaultPlan, Liveness, LookupFailure};
 use peercache_freq::{ExactCounter, FrequencyEstimator};
 use peercache_id::{Id, IdSpace};
-use peercache_workload::{random_ids, ItemCatalog, NodeWorkload, RankingAssignment, Zipf};
+use peercache_workload::{random_ids, ItemCatalog, RankingAssignment, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -182,9 +182,6 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
             RankingAssignment::random_pool(config.items, config.nodes, p, &mut rng_workload)
         }
     };
-    let workloads: Vec<NodeWorkload> = (0..config.nodes)
-        .map(|idx| NodeWorkload::new(zipf.clone(), assignment.for_node(idx).clone()))
-        .collect();
 
     // Initial membership: each node alive with probability ½ — the steady
     // state of the alternating-renewal churn process.
@@ -257,7 +254,8 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
                     continue;
                 }
                 let origin_idx = liveness.live_at(rng_queries.gen_range(0..liveness.live_count()));
-                let item = workloads[origin_idx].sample_item(&mut rng_queries);
+                let ranking = assignment.for_node(origin_idx);
+                let item = zipf.sample_item(ranking, &mut rng_queries);
                 let key = catalog.key(item);
                 // Neighbors that timed out are evicted from their
                 // prober's tables.
@@ -292,8 +290,9 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
                     Event::Flip(idx),
                 );
                 if liveness.is_alive(idx) {
-                    // Never kill the last node.
-                    if overlay.live_ids().len() > 1 {
+                    // Never kill the last node (`liveness` flips with
+                    // the overlay at every fail and join).
+                    if liveness.live_count() > 1 {
                         overlay.fail(node_ids[idx]);
                         liveness.set(idx, false);
                         if let Some(engine) = engine.as_mut() {
@@ -333,7 +332,7 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
                             if let Some(aux) =
                                 engine.recompute_aware(&overlay, idx, node, &counters[idx])
                             {
-                                overlay.set_aux_from_slice(node, aux);
+                                overlay.set_aux(node, aux);
                             }
                         }
                         None => {
@@ -347,7 +346,7 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
                                 config.k,
                                 &mut select_scratch,
                             ) {
-                                overlay.set_aux(node, sel.aux);
+                                overlay.set_aux(node, &sel.aux);
                             }
                         }
                     },
@@ -357,7 +356,7 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
                         if let Ok(sel) =
                             overlay.select_oblivious_uniform(node, config.k, &mut rng_select)
                         {
-                            overlay.set_aux(node, sel.aux);
+                            overlay.set_aux(node, &sel.aux);
                         }
                     }
                 }

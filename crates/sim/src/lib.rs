@@ -41,7 +41,7 @@ pub mod refresh;
 pub mod scale;
 pub mod stable;
 
-pub use bridge::{QueryStream, RuntimeFixture};
+pub use bridge::RuntimeFixture;
 pub use churn::{
     run_churn, run_churn_faulted, run_churn_once, run_churn_once_faulted, ChurnConfig,
     ChurnFaultReport, ChurnReport, RecomputeMode, Strategy,
@@ -56,6 +56,6 @@ pub use scale::{
     ScaleChurnRound, ScaleConfig, ScaleReport,
 };
 pub use stable::{
-    run_stable, run_stable_faulted, RankingMode, SelectionBench, StableConfig, StableFaultReport,
-    StableReport,
+    run_stable, run_stable_faulted, QueryStream, RankingMode, SelectionBench, StableConfig,
+    StableFaultReport, StableReport,
 };

@@ -202,27 +202,16 @@ impl SimOverlay {
         }
     }
 
-    /// Install the auxiliary set for `node` (no-op error if it died).
-    pub fn set_aux(&mut self, node: Id, aux: Vec<Id>) -> bool {
+    /// Install the auxiliary set for `node` (dead entries dropped; `false`
+    /// if `node` itself died). The node's installed buffer is recycled,
+    /// so the refresh engine's per-tick re-install allocates nothing at
+    /// warmed capacity.
+    pub fn set_aux(&mut self, node: Id, aux: &[Id]) -> bool {
         match self {
             SimOverlay::Chord(net) => net.set_aux(node, aux).is_ok(),
             SimOverlay::Pastry(net) => net.set_aux(node, aux).is_ok(),
             SimOverlay::Tapestry(net) => net.set_aux(node, aux).is_ok(),
             SimOverlay::SkipGraph(net) => net.set_aux(node, aux).is_ok(),
-        }
-    }
-
-    /// [`set_aux`](Self::set_aux) from a borrowed slice, recycling the
-    /// node's installed buffer — the refresh engine re-installs a
-    /// retained selection every recompute tick, and at warmed capacity
-    /// this installs without allocating. Same live-entry filter, same
-    /// result.
-    pub fn set_aux_from_slice(&mut self, node: Id, aux: &[Id]) -> bool {
-        match self {
-            SimOverlay::Chord(net) => net.set_aux_from_slice(node, aux).is_ok(),
-            SimOverlay::Pastry(net) => net.set_aux_from_slice(node, aux).is_ok(),
-            SimOverlay::Tapestry(net) => net.set_aux_from_slice(node, aux).is_ok(),
-            SimOverlay::SkipGraph(net) => net.set_aux_from_slice(node, aux).is_ok(),
         }
     }
 

@@ -38,7 +38,7 @@ use peercache_core::pastry::PastryOptimizer;
 use peercache_core::{Candidate, PastryProblem, SelectError, Selection};
 use peercache_freq::{ExactCounter, FrequencyEstimator, FrequencySnapshot};
 use peercache_id::{Id, IdSpace};
-use peercache_workload::{random_ids, ItemCatalog, NodeWorkload, RankingAssignment, Zipf};
+use peercache_workload::{random_ids, ItemCatalog, RankingAssignment, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -604,9 +604,6 @@ impl ChurnRecomputeBench {
                 RankingAssignment::random_pool(config.items, config.nodes, p, &mut rng_workload)
             }
         };
-        let workloads: Vec<NodeWorkload> = (0..config.nodes)
-            .map(|idx| NodeWorkload::new(zipf.clone(), assignment.for_node(idx).clone()))
-            .collect();
         let mut overlay = SimOverlay::build(config.kind, space, &node_ids, &mut rng_topology);
         let index_of: std::collections::BTreeMap<Id, usize> = node_ids
             .iter()
@@ -618,7 +615,7 @@ impl ChurnRecomputeBench {
         let mut batch = Vec::with_capacity(queries_per_tick * 4);
         for _ in 0..queries_per_tick {
             let origin = rng_queries.gen_range(0..config.nodes);
-            let item = workloads[origin].sample_item(&mut rng_queries);
+            let item = zipf.sample_item(assignment.for_node(origin), &mut rng_queries);
             let key = catalog.key(item);
             let (outcome, path) = overlay.query_with_path(node_ids[origin], key);
             if outcome.success {
@@ -674,7 +671,7 @@ impl ChurnRecomputeBench {
                 .select_aware_into(node, &freqs, self.k, &mut self.scratch)
             {
                 Self::fold(&mut checksum, &sel.aux);
-                self.overlay.set_aux(node, sel.aux);
+                self.overlay.set_aux(node, &sel.aux);
             }
         }
         checksum
@@ -698,7 +695,7 @@ impl ChurnRecomputeBench {
                     .recompute_aware(&self.overlay, idx, node, &self.counters[idx])
             {
                 Self::fold(&mut checksum, aux);
-                self.overlay.set_aux_from_slice(node, aux);
+                self.overlay.set_aux(node, aux);
             }
         }
         checksum

@@ -117,19 +117,66 @@ pub struct StableReport {
 }
 
 /// Everything a measurement pass needs, built once per run: the frozen
-/// overlay snapshot plus both strategies' selected auxiliary sets.
+/// overlay snapshot, both strategies' selected auxiliary sets, and the
+/// one workload table (a single Zipf sampler plus the ranking
+/// assignment, indexed by origin — no per-node copy).
 ///
 /// Extracted so the stable driver and the runtime bridge share one
-/// construction path — RNG stream consumption order is
-/// part of the reproducibility contract and must not fork between them.
+/// construction path and one [`QueryStream`] — RNG stream consumption
+/// order is part of the reproducibility contract and must not fork
+/// between them.
 pub(crate) struct StableSetup {
     pub(crate) node_ids: Vec<Id>,
     pub(crate) catalog: ItemCatalog,
+    pub(crate) zipf: Zipf,
+    pub(crate) assignment: RankingAssignment,
     pub(crate) overlay: SimOverlay,
     pub(crate) aware_sets: Vec<Vec<Id>>,
     pub(crate) oblivious_sets: Vec<Vec<Id>>,
-    pub(crate) per_node_workloads: Vec<NodeWorkload>,
     pub(crate) aux_index: Vec<(Id, usize)>,
+}
+
+/// The stable driver's `(origin, key)` query sequence: `queries` pairs
+/// from the `seed + 2` RNG, each an origin index and then that origin's
+/// workload item. Every measurement pass and the runtime bridge
+/// ([`RuntimeFixture::queries`](crate::RuntimeFixture::queries))
+/// iterate this one stream, so their inputs cannot fork.
+pub struct QueryStream<'a> {
+    setup: &'a StableSetup,
+    rng: StdRng,
+    remaining: usize,
+}
+
+impl<'a> QueryStream<'a> {
+    /// The stream of `config`'s run over `setup`.
+    pub(crate) fn new(setup: &'a StableSetup, config: &StableConfig) -> Self {
+        QueryStream {
+            setup,
+            rng: StdRng::seed_from_u64(config.seed.wrapping_add(2)),
+            remaining: config.queries,
+        }
+    }
+}
+
+impl Iterator for QueryStream<'_> {
+    type Item = (Id, Id);
+
+    fn next(&mut self) -> Option<(Id, Id)> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let setup = self.setup;
+        let origin_idx = self.rng.gen_range(0..setup.node_ids.len());
+        let ranking = setup.assignment.for_node(origin_idx);
+        let item = setup.zipf.sample_item(ranking, &mut self.rng);
+        let origin = setup.node_ids.get(origin_idx).copied()?;
+        Some((origin, setup.catalog.key(item)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
 }
 
 /// Run one stable-mode comparison: [`run_stable_faulted`] under no
@@ -305,9 +352,6 @@ pub(crate) fn build_stable(config: &StableConfig) -> StableSetup {
     } = inputs;
     // The measurement passes resolve auxiliary sets by *id* from a side
     // table; `node_ids` are in generation order.
-    let per_node_workloads: Vec<NodeWorkload> = (0..config.nodes)
-        .map(|idx| NodeWorkload::new(zipf.clone(), assignment.for_node(idx).clone()))
-        .collect();
     let mut aux_index: Vec<(Id, usize)> = node_ids
         .iter()
         .enumerate()
@@ -317,10 +361,11 @@ pub(crate) fn build_stable(config: &StableConfig) -> StableSetup {
     StableSetup {
         node_ids,
         catalog,
+        zipf,
+        assignment,
         overlay,
         aware_sets,
         oblivious_sets,
-        per_node_workloads,
         aux_index,
     }
 }
@@ -356,27 +401,15 @@ pub struct StableFaultReport {
 /// Panics on nonsensical configurations (zero nodes/items, α invalid).
 pub fn run_stable_faulted(config: &StableConfig, faults: &FaultConfig) -> StableFaultReport {
     let setup = build_stable(config);
-    let StableSetup {
-        node_ids,
-        catalog,
-        overlay,
-        aware_sets,
-        oblivious_sets,
-        per_node_workloads,
-        aux_index,
-    } = &setup;
     let plan = FaultPlan::new(config.seed, faults);
 
     let measure = |sets: Option<&[Vec<Id>]>| -> FaultMetrics {
-        let mut rng_queries = StdRng::seed_from_u64(config.seed.wrapping_add(2));
         let mut metrics = FaultMetrics::default();
-        for _ in 0..config.queries {
-            let origin_idx = rng_queries.gen_range(0..config.nodes);
-            let item = per_node_workloads[origin_idx].sample_item(&mut rng_queries);
-            let route = overlay.query_with_aux_faults(
-                node_ids[origin_idx],
-                catalog.key(item),
-                |id| aux_lookup(aux_index, sets, id),
+        for (origin, key) in QueryStream::new(&setup, config) {
+            let route = setup.overlay.query_with_aux_faults(
+                origin,
+                key,
+                |id| aux_lookup(&setup.aux_index, sets, id),
                 &plan,
             );
             if matches!(route.outcome, Err(LookupFailure::OriginDown(_))) {
@@ -388,7 +421,8 @@ pub fn run_stable_faulted(config: &StableConfig, faults: &FaultConfig) -> Stable
         metrics
     };
 
-    let passes: [Option<&[Vec<Id>]>; 3] = [None, Some(aware_sets), Some(oblivious_sets)];
+    let passes: [Option<&[Vec<Id>]>; 3] =
+        [None, Some(&setup.aware_sets), Some(&setup.oblivious_sets)];
     let results = peercache_par::par_map(&passes, |_, sets| measure(*sets));
     let mut results = results.into_iter();
     let (Some(core_only), Some(aware), Some(oblivious)) =

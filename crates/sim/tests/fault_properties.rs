@@ -60,7 +60,7 @@ fn build_overlay(kind: OverlayKind, seed: u64) -> (SimOverlay, Vec<Id>) {
     let mut overlay = SimOverlay::build(kind, space, &ids, &mut rng);
     for &node in &ids {
         let aux: Vec<Id> = (0..4).map(|_| ids[rng.gen_range(0..ids.len())]).collect();
-        overlay.set_aux(node, aux);
+        overlay.set_aux(node, &aux);
     }
     (overlay, ids)
 }

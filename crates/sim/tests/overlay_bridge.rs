@@ -115,14 +115,14 @@ fn set_aux_rejects_dead_nodes_and_installs_live_ones() {
     let (mut overlay, ids) = build(OverlayKind::Chord, 16, 8);
     let ghost = Id::new(0xdead_beef);
     assert!(!ids.contains(&ghost));
-    assert!(overlay.set_aux(ids[0], vec![ids[1], ghost]));
+    assert!(overlay.set_aux(ids[0], &[ids[1], ghost]));
     // Routing to ids[1] is now direct.
     let out = overlay.query(ids[0], ids[1]);
     assert!(out.success);
     assert_eq!(out.hops, 1);
     // Installing on a dead node reports failure.
     assert!(overlay.fail(ids[2]));
-    assert!(!overlay.set_aux(ids[2], vec![]));
+    assert!(!overlay.set_aux(ids[2], &[]));
 }
 
 #[test]

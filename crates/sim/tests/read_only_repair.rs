@@ -34,7 +34,7 @@ fn check(kind: OverlayKind) {
         // Installed while every node is live, so the installed sets are
         // exactly the side table the read-only walk reads.
         for (&node, set) in &aux {
-            assert!(overlay.set_aux(node, set.clone()));
+            assert!(overlay.set_aux(node, set));
         }
         for i in 0..FAILURES {
             assert!(overlay.fail(ids[i * 5 % NODES]));

@@ -79,25 +79,23 @@ pub struct SkipNode {
 impl SkipNode {
     /// All distinct known nodes (level links + auxiliaries).
     pub fn known_neighbors(&self) -> Vec<Id> {
-        self.known_neighbors_with(&self.aux)
+        let mut out: Vec<Id> = self
+            .core()
+            .chain(self.aux.iter().copied().filter(|&n| n != self.id))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
-    /// [`known_neighbors`](Self::known_neighbors) with `extra` standing in
-    /// for the installed auxiliary set, so read-only routing can resolve
-    /// auxiliary pointers from a shared side table over one immutable
-    /// snapshot.
-    pub fn known_neighbors_with(&self, extra: &[Id]) -> Vec<Id> {
-        let mut out: Vec<Id> = self
-            .levels
+    /// The level links in place, self excluded, duplicates kept. Routing
+    /// reads its candidates from here without building a list.
+    fn core(&self) -> impl Iterator<Item = Id> + '_ {
+        self.levels
             .iter()
             .flatten()
             .copied()
-            .chain(extra.iter().copied())
-            .filter(|&n| n != self.id)
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+            .filter(move |&n| n != self.id)
     }
 
     /// The core neighbors (level links only) — the `N_s` for selection.
@@ -112,13 +110,7 @@ impl SkipNode {
     /// one buffer instead of allocating a fresh vector per node.
     pub fn core_neighbors_into(&self, out: &mut Vec<Id>) {
         out.clear();
-        out.extend(
-            self.levels
-                .iter()
-                .flatten()
-                .copied()
-                .filter(|&n| n != self.id),
-        );
+        out.extend(self.core());
         out.sort_unstable();
         out.dedup();
     }
@@ -364,28 +356,13 @@ impl SkipGraphNetwork {
     }
 
     /// Install the auxiliary neighbor set (dead entries dropped).
+    /// The node's installed buffer is recycled, so re-installing a
+    /// selection at warmed capacity allocates nothing (the churn
+    /// driver's refresh engine does so every recompute tick).
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`].
-    pub fn set_aux(&mut self, id: Id, aux: Vec<Id>) -> Result<(), NetworkError> {
-        let live: Vec<Id> = aux.into_iter().filter(|&a| self.is_live(a)).collect();
-        let node = self
-            .nodes
-            .get_mut(&id.value())
-            .ok_or(NetworkError::NotPresent(id))?;
-        node.aux = live;
-        Ok(())
-    }
-
-    /// [`set_aux`](Self::set_aux) from a borrowed slice, recycling the
-    /// node's installed buffer instead of taking ownership of a fresh
-    /// `Vec`: the churn driver's refresh engine re-installs a retained
-    /// selection every recompute tick, and at warmed capacity this
-    /// installs without allocating. The live-entry filter is identical.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`].
-    pub fn set_aux_from_slice(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
+    pub fn set_aux(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
         let mut live = match self.nodes.get_mut(&id.value()) {
             Some(node) => std::mem::take(&mut node.aux),
             None => return Err(NetworkError::NotPresent(id)),
@@ -428,12 +405,14 @@ impl Substrate for SkipGraphNetwork {
             .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One skip-graph arrival: rank the known nodes between `current`
-    /// and the key by clockwise distance to the key and probe them in
-    /// order. Under a non-transparent plan, the first timed-out
-    /// **auxiliary-only** candidate bans the remaining auxiliary
-    /// pointers at this arrival (`trace.fallbacks`). With no live
-    /// candidate, `current` is the believed predecessor of the key.
+    /// One skip-graph arrival, read from the node's links in place:
+    /// probe the usable known node between `current` and the key that is
+    /// closest to the key clockwise; a timed-out one is excluded through
+    /// `trace.dead_probed` and the decision re-runs. Under a
+    /// non-transparent plan, the first timed-out **auxiliary-only**
+    /// candidate bans the remaining auxiliary pointers at this arrival
+    /// (`trace.fallbacks`). With no live candidate, `current` is the
+    /// believed predecessor of the key.
     fn step<'a>(
         &self,
         current: Id,
@@ -458,29 +437,30 @@ impl Substrate for SkipGraphNetwork {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
         let aux = plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
-        let mut candidates: Vec<Id> = node
-            .known_neighbors_with(aux)
-            .into_iter()
-            .filter(|&w| space.between_open_closed(current, w, key))
-            .collect();
-        candidates.sort_by_key(|&w| space.clockwise_distance(w, key));
-        // Sorted core view, for spotting aux-only candidates; only a
-        // failed probe under a plan that can fall back needs it.
-        let mut core: Option<Vec<Id>> = None;
         let mut aux_banned = false;
-        for w in candidates {
-            if aux_banned && core.as_ref().is_some_and(|c| c.binary_search(&w).is_err()) {
-                continue;
-            }
+        loop {
+            // The usable candidate between current and the key that is
+            // closest to the key; a timed-out probe recorded
+            // `(current, w)` in `trace.dead_probed`, which excludes it.
+            // Clockwise distances are distinct, so this replays a probe
+            // order sorted by distance.
+            let extra: &[Id] = if aux_banned { &[] } else { aux };
+            let dead = &trace.dead_probed;
+            let Some(w) = node
+                .core()
+                .chain(extra.iter().copied())
+                .filter(|&w| {
+                    space.between_open_closed(current, w, key) && !dead.contains(&(current, w))
+                })
+                .min_by_key(|&w| space.clockwise_distance(w, key))
+            else {
+                break;
+            };
             if plan.probe(current, w, trace.hops, self.is_live(w), trace) {
                 return WalkStep::Forward(w);
-            }
-            if !aux_banned && !plan.is_transparent() {
-                let core = core.get_or_insert_with(|| node.known_neighbors_with(&[]));
-                if core.binary_search(&w).is_err() {
-                    aux_banned = true;
-                    trace.fallbacks += 1;
-                }
+            } else if !plan.is_transparent() && !aux_banned && !node.core().any(|c| c == w) {
+                aux_banned = true;
+                trace.fallbacks += 1;
             }
         }
         let outcome = if current == true_owner {

@@ -126,7 +126,7 @@ fn aux_neighbors_shorten_searches() {
         .max_by_key(|&&t| net.search(from, t).unwrap().hops)
         .unwrap();
     assert!(net.search(from, far).unwrap().hops >= 2);
-    net.set_aux(from, vec![far]).unwrap();
+    net.set_aux(from, &[far]).unwrap();
     let res = net.search(from, far).unwrap();
     assert!(res.is_success());
     assert_eq!(res.hops, 1);
@@ -173,16 +173,16 @@ fn chord_selection_transfers_via_rank_space() {
             .sum::<f64>()
             / total
     };
-    net.set_aux(me, vec![]).unwrap();
+    net.set_aux(me, &[]).unwrap();
     let base = measure(&mut net);
-    net.set_aux(me, aux).unwrap();
+    net.set_aux(me, &aux).unwrap();
     let optimal = measure(&mut net);
     // Random pick of equal size for contrast.
     let mut rng = StdRng::seed_from_u64(10);
     let mut pool: Vec<Id> = weights.iter().map(|&(nid, _)| nid).collect();
     use rand::seq::SliceRandom;
     pool.shuffle(&mut rng);
-    net.set_aux(me, pool[..sel.aux.len()].to_vec()).unwrap();
+    net.set_aux(me, &pool[..sel.aux.len()]).unwrap();
     let random = measure(&mut net);
 
     assert!(optimal < base, "optimal {optimal} must beat no-aux {base}");
@@ -235,7 +235,7 @@ fn membership_errors_are_reported() {
     let ghost = id(65_000);
     assert!(!ids.contains(&ghost));
     assert!(net.fail(ghost).is_err());
-    assert!(net.set_aux(ghost, vec![]).is_err());
+    assert!(net.set_aux(ghost, &[]).is_err());
     assert!(net.search(ghost, id(0)).is_err());
 }
 

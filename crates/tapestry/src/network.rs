@@ -80,23 +80,19 @@ impl TapestryNode {
         }
     }
 
-    /// All distinct known nodes — the table plus `extra`, which stands in
-    /// for the installed auxiliary set so read-only routing can resolve
-    /// auxiliary pointers from a shared side table over one immutable
-    /// snapshot (self excluded).
-    pub fn known_neighbors_with(&self, extra: &[Id]) -> Vec<Id> {
-        let mut out: Vec<Id> = self
-            .rows
+    /// The table entries in place, self excluded, duplicates kept.
+    fn core(&self) -> impl Iterator<Item = Id> + '_ {
+        self.rows
             .iter()
             .flatten()
             .flatten()
             .copied()
-            .chain(extra.iter().copied())
-            .filter(|&n| n != self.id)
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+            .filter(move |&n| n != self.id)
+    }
+
+    /// Routing-table cell `(row, col)`.
+    fn cell(&self, row: u8, col: usize) -> Option<Id> {
+        *self.rows.get(usize::from(row))?.get(col)?
     }
 
     /// The core neighbors (routing table only) — the `N_s` for selection.
@@ -111,14 +107,7 @@ impl TapestryNode {
     /// one buffer instead of allocating a fresh vector per node.
     pub fn core_neighbors_into(&self, out: &mut Vec<Id>) {
         out.clear();
-        out.extend(
-            self.rows
-                .iter()
-                .flatten()
-                .flatten()
-                .copied()
-                .filter(|&n| n != self.id),
-        );
+        out.extend(self.core());
         out.sort_unstable();
         out.dedup();
     }
@@ -331,28 +320,13 @@ impl TapestryNetwork {
     }
 
     /// Install the auxiliary neighbor set (dead entries dropped).
+    /// The node's installed buffer is recycled, so re-installing a
+    /// selection at warmed capacity allocates nothing (the churn
+    /// driver's refresh engine does so every recompute tick).
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`].
-    pub fn set_aux(&mut self, id: Id, aux: Vec<Id>) -> Result<(), NetworkError> {
-        let live: Vec<Id> = aux.into_iter().filter(|&a| self.is_live(a)).collect();
-        let node = self
-            .nodes
-            .get_mut(&id.value())
-            .ok_or(NetworkError::NotPresent(id))?;
-        node.aux = live;
-        Ok(())
-    }
-
-    /// [`set_aux`](Self::set_aux) from a borrowed slice, recycling the
-    /// node's installed buffer instead of taking ownership of a fresh
-    /// `Vec`: the churn driver's refresh engine re-installs a retained
-    /// selection every recompute tick, and at warmed capacity this
-    /// installs without allocating. The live-entry filter is identical.
-    ///
-    /// # Errors
-    /// [`NetworkError::NotPresent`].
-    pub fn set_aux_from_slice(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
+    pub fn set_aux(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
         let mut live = match self.nodes.get_mut(&id.value()) {
             Some(node) => std::mem::take(&mut node.aux),
             None => return Err(NetworkError::NotPresent(id)),
@@ -378,17 +352,23 @@ impl TapestryNetwork {
             .ok_or(NetworkError::NotPresent(from))
     }
 
-    /// The forwarding decision at `current`: auxiliary/table shortcut on
-    /// maximal prefix progress first (§III-1), then the surrogate loop,
-    /// with `extra` standing in for the auxiliary set of `current`.
-    /// `None` means `current` believes it is the root. Every
-    /// `(prober, target)` pair in `dead` with `prober == current` is
-    /// treated as already forgotten: the read-only walk filters a
-    /// timed-out entry instead of erasing it from `current`'s tables, so
-    /// a repairing caller that evicts the pairs afterwards ends with the
-    /// tables the walk routed over.
-    fn next_hop_excluding(
+    /// The forwarding decision at `current`, read from its table in
+    /// place: auxiliary/table shortcut on maximal prefix progress first
+    /// (§III-1), then the surrogate loop, with `extra` standing in for
+    /// the auxiliary set of `current`. `None` means `current` believes it
+    /// is the root. Every `(prober, target)` pair in `dead` with
+    /// `prober == current` is treated as already forgotten: the read-only
+    /// walk filters a timed-out entry instead of erasing it from
+    /// `current`'s tables, so a repairing caller that evicts the pairs
+    /// afterwards ends with the tables the walk routed over.
+    ///
+    /// A row-`r` entry shares exactly `r` digits with `current`. For a
+    /// key sharing `l` digits, a row below `l` differs from the key at its
+    /// own row and a row above `l` carries `current`'s digit `l`, so of
+    /// the table only cell `(l, key digit l)` can advance the prefix.
+    fn next_hop(
         &self,
+        node: &TapestryNode,
         current: Id,
         key: Id,
         extra: &[Id],
@@ -397,19 +377,16 @@ impl TapestryNetwork {
         if current == key {
             return None;
         }
-        let excluded = |w: Id| dead.iter().any(|&(p, t)| p == current && t == w);
-        // `current` is always a live node here; degrade to "no next hop"
-        // rather than panic if the map ever disagrees (rule L10).
-        let node = self.nodes.get(&current.value())?;
+        let usable = |w: Id| !dead.contains(&(current, w));
         let l = self.lcp(current, key);
-        // Prefix-progress candidates (table entries + auxiliaries).
-        let best = node
-            .known_neighbors_with(extra)
-            .into_iter()
-            .filter(|&w| !excluded(w) && self.lcp(w, key) > l)
+        let best = extra
+            .iter()
+            .copied()
+            .chain(node.cell(l, self.digit(key, l)))
+            .filter(|&w| usable(w) && self.lcp(w, key) > l)
             .max_by_key(|&w| (self.lcp(w, key), std::cmp::Reverse(w)));
-        if let Some(w) = best {
-            return Some(w);
+        if best.is_some() {
+            return best;
         }
         // Surrogate loop: resolve rows from l; at each row try the key's
         // digit, then bump cyclically; our own digit means we carry the
@@ -422,20 +399,20 @@ impl TapestryNetwork {
                 if v == own {
                     break; // current carries this digit; next row
                 }
-                let slot = node
-                    .rows
-                    .get(row as usize)
-                    .and_then(|r| r.get(v))
-                    .copied()
-                    .flatten();
-                if let Some(w) = slot {
-                    if !excluded(w) {
-                        return Some(w);
-                    }
+                if let Some(w) = node.cell(row, v).filter(|&w| usable(w)) {
+                    return Some(w);
                 }
             }
         }
         None
+    }
+
+    /// Whether `w` is a table entry of `current` rather than an
+    /// auxiliary-only pointer: a table entry can only sit in the cell its
+    /// shared prefix with `current` dictates.
+    fn is_core(&self, node: &TapestryNode, current: Id, w: Id) -> bool {
+        let row = self.lcp(current, w);
+        row < self.digit_count && node.cell(row, self.digit(w, row)) == Some(w)
     }
 }
 
@@ -454,9 +431,10 @@ impl Substrate for TapestryNetwork {
             .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One Tapestry arrival: decide the next hop (maximal prefix
-    /// progress, then the surrogate loop) and probe it; a timed-out hop
-    /// is excluded and the decision re-runs. Under a non-transparent
+    /// One Tapestry arrival, read from the node's table in place: decide
+    /// the next hop (maximal prefix progress, then the surrogate loop)
+    /// and probe it; a timed-out hop is excluded through
+    /// `trace.dead_probed` and the decision re-runs. Under a non-transparent
     /// plan, the first timed-out **auxiliary-only** hop bans the
     /// remaining auxiliary pointers at this node, falling back to core
     /// routing state (`trace.fallbacks`). With no hop left, a node whose
@@ -475,6 +453,15 @@ impl Substrate for TapestryNetwork {
         if trace.hops >= self.config.hop_limit {
             return WalkStep::Done(Err(LookupFailure::HopLimit));
         }
+        // A walk only arrives at live members; a node without state knows
+        // no next hop, so degrade to its terminal verdict (rule L10).
+        let Some(node) = self.nodes.get(&current.value()) else {
+            return WalkStep::Done(if current == true_owner {
+                Ok(current)
+            } else {
+                Err(LookupFailure::WrongOwner(current))
+            });
+        };
         let aux = plan.resolve_aux(
             self.config.space,
             current,
@@ -484,47 +471,31 @@ impl Substrate for TapestryNetwork {
         let mut aux_banned = false;
         loop {
             let extra: &[Id] = if aux_banned { &[] } else { aux };
-            match self.next_hop_excluding(current, key, extra, &trace.dead_probed) {
-                None => {
-                    let excluded = |w: Id| {
-                        trace
-                            .dead_probed
-                            .iter()
-                            .any(|&(p, t)| p == current && t == w)
-                    };
-                    let outcome = if current == true_owner {
-                        Ok(current)
-                    } else if self.nodes.get(&current.value()).is_some_and(|node| {
-                        node.known_neighbors_with(extra)
-                            .iter()
-                            .all(|&w| excluded(w))
-                    }) && self.len() > 1
-                    {
-                        Err(LookupFailure::DeadEnd(current))
-                    } else {
-                        Err(LookupFailure::WrongOwner(current))
-                    };
-                    return WalkStep::Done(outcome);
-                }
-                Some(next) => {
-                    if plan.probe(current, next, trace.hops, self.is_live(next), trace) {
-                        return WalkStep::Forward(next);
-                    } else if !plan.is_transparent() && !aux_banned {
-                        // Probe failure already excluded `next` via
-                        // `trace.dead_probed`; if it was a cached pointer
-                        // (absent from the core tables), ban the rest of
-                        // the aux set here and fall back to core state.
-                        let core = self
-                            .nodes
-                            .get(&current.value())
-                            .map(|node| node.known_neighbors_with(&[]))
-                            .unwrap_or_default();
-                        if core.binary_search(&next).is_err() {
-                            aux_banned = true;
-                            trace.fallbacks += 1;
-                        }
-                    }
-                }
+            let dead = &trace.dead_probed;
+            let Some(next) = self.next_hop(node, current, key, extra, dead) else {
+                let outcome = if current == true_owner {
+                    Ok(current)
+                } else if self.len() > 1
+                    && node
+                        .core()
+                        .chain(extra.iter().copied())
+                        .filter(|&w| w != current)
+                        .all(|w| dead.contains(&(current, w)))
+                {
+                    Err(LookupFailure::DeadEnd(current))
+                } else {
+                    Err(LookupFailure::WrongOwner(current))
+                };
+                return WalkStep::Done(outcome);
+            };
+            if plan.probe(current, next, trace.hops, self.is_live(next), trace) {
+                return WalkStep::Forward(next);
+            } else if !plan.is_transparent() && !aux_banned && !self.is_core(node, current, next) {
+                // Probe failure already excluded `next` via
+                // `trace.dead_probed`; it was a cached pointer, so ban the
+                // rest of the aux set here and fall back to core state.
+                aux_banned = true;
+                trace.fallbacks += 1;
             }
         }
     }

@@ -63,7 +63,7 @@ proptest! {
         // Install arbitrary aux sets everywhere (every 3rd node).
         let aux: Vec<Id> = ids.iter().copied().step_by(3).collect();
         for &node in &ids {
-            net.set_aux(node, aux.clone()).unwrap();
+            net.set_aux(node, &aux).unwrap();
         }
         for &from in ids.iter().take(8) {
             let res = net.route(from, key).unwrap();

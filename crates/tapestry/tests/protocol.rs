@@ -84,7 +84,7 @@ fn aux_neighbors_shorten_routes() {
         .unwrap();
     let before = net.route(from, far).unwrap().hops;
     assert!(before >= 2);
-    net.set_aux(from, vec![far]).unwrap();
+    net.set_aux(from, &[far]).unwrap();
     let after = net.route(from, far).unwrap();
     assert!(after.is_success());
     assert_eq!(after.hops, 1);
@@ -122,16 +122,15 @@ fn pastry_selection_transfers_to_tapestry() {
         let _ = rng;
         acc / total
     };
-    net.set_aux(me, vec![]).unwrap();
+    net.set_aux(me, &[]).unwrap();
     let base = measure(&mut net, &mut rng);
-    net.set_aux(me, selection.aux.clone()).unwrap();
+    net.set_aux(me, &selection.aux).unwrap();
     let optimal = measure(&mut net, &mut rng);
     // Random pick of equal size.
     let mut pool: Vec<Id> = weights.iter().map(|&(n, _)| n).collect();
     use rand::seq::SliceRandom;
     pool.shuffle(&mut rng);
-    net.set_aux(me, pool[..selection.aux.len()].to_vec())
-        .unwrap();
+    net.set_aux(me, &pool[..selection.aux.len()]).unwrap();
     let random = measure(&mut net, &mut rng);
 
     assert!(optimal < base, "optimal {optimal} must beat no-aux {base}");
@@ -166,7 +165,7 @@ fn membership_errors_are_reported() {
     let ghost = id(65_533);
     assert!(!ids.contains(&ghost));
     assert!(net.fail(ghost).is_err());
-    assert!(net.set_aux(ghost, vec![]).is_err());
+    assert!(net.set_aux(ghost, &[]).is_err());
     assert!(net.route(ghost, id(0)).is_err());
 }
 

@@ -43,11 +43,6 @@ impl ItemCatalog {
         }
     }
 
-    /// Build from explicit keys (used by tests).
-    pub fn from_keys(keys: Vec<Id>) -> Self {
-        ItemCatalog { keys }
-    }
-
     /// Number of items.
     pub fn len(&self) -> usize {
         self.keys.len()

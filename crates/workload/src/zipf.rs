@@ -1,5 +1,7 @@
 use rand::Rng;
 
+use crate::Ranking;
+
 /// An exact Zipf(α) sampler over ranks `0..n`.
 ///
 /// Rank `r` (0-based) is drawn with probability `(r+1)^{−α} / H_{n,α}`
@@ -81,6 +83,16 @@ impl Zipf {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+    }
+
+    /// Draw the catalog index of the next queried item: a rank, mapped
+    /// through `ranking`. The one sampling expression every query
+    /// generator shares — [`NodeWorkload::sample_item`](crate::NodeWorkload::sample_item)
+    /// and the drivers, which keep one sampler for the whole run and pick
+    /// each origin's ranking from its
+    /// [`RankingAssignment`](crate::RankingAssignment).
+    pub fn sample_item<R: Rng + ?Sized>(&self, ranking: &Ranking, rng: &mut R) -> usize {
+        ranking.item_at_rank(self.sample(rng))
     }
 }
 

@@ -79,9 +79,9 @@ fn main() {
     // the record changed after caching and the TTL has not yet expired.
     let run = |net: &mut ChordNetwork, use_aux: bool, rng: &mut StdRng| {
         if use_aux {
-            net.set_aux(resolver, selection.aux.clone()).unwrap();
+            net.set_aux(resolver, &selection.aux).unwrap();
         } else {
-            net.set_aux(resolver, vec![]).unwrap();
+            net.set_aux(resolver, &[]).unwrap();
         }
         let mut hops = 0u64;
         for _ in 0..QUERIES {

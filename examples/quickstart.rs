@@ -70,7 +70,7 @@ fn main() {
     }
 
     // 4. Install and replay the same query mix.
-    net.set_aux(me, selection.aux.clone()).unwrap();
+    net.set_aux(me, &selection.aux).unwrap();
     let mut rng = StdRng::seed_from_u64(2008 + 1);
     let mut hops_after = 0u64;
     for _ in 0..queries {

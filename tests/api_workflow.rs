@@ -65,7 +65,7 @@ fn chord_workflow_improves_measured_hops() {
         from_exact.aux.len()
     );
 
-    net.set_aux(me, from_exact.aux.clone()).unwrap();
+    net.set_aux(me, &from_exact.aux).unwrap();
     let mut rng2 = StdRng::seed_from_u64(2);
     let mut hops_after = 0u64;
     for _ in 0..4_000 {
@@ -99,13 +99,13 @@ fn pastry_workflow_with_incremental_reoptimisation() {
     // Warm optimiser; popularity shifts arrive one at a time.
     let mut opt = PastryOptimizer::new(&problem).unwrap();
     let first = opt.select().unwrap();
-    net.set_aux(me, first.aux.clone()).unwrap();
+    net.set_aux(me, &first.aux).unwrap();
 
     let hot = problem.candidates[7].id;
     opt.update_weight(hot, 500.0).unwrap();
     let second = opt.select().unwrap();
     assert!(second.aux.contains(&hot), "spiking peer must be selected");
-    net.set_aux(me, second.aux.clone()).unwrap();
+    net.set_aux(me, &second.aux).unwrap();
     let res = net.route(me, hot).unwrap();
     assert!(res.is_success());
     assert_eq!(res.hops, 1, "direct pointer");
