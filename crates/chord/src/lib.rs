@@ -21,7 +21,10 @@
 //! produces.
 //!
 //! The forwarding rule lives in one function, [`ChordNetwork`]'s
-//! `peercache_faults::Substrate::step`. [`ChordNetwork::lookup`] is the
+//! `peercache_faults::Substrate::step`, which reads the node's fingers,
+//! successors and aux pointers in place: it probes the usable candidate
+//! closest to the key, and a timed-out one is excluded through the walk's
+//! trace before the step decides again. [`ChordNetwork::lookup`] is the
 //! repairing walk over it (dead neighbors probed en route are forgotten
 //! afterwards); the simulator's read-only, fault-injected and node-runtime
 //! walks drive the same step.

@@ -18,7 +18,10 @@
 //! driver (and the `ext_all_overlays` experiment) runs.
 //!
 //! The forwarding rule lives in one function, [`SkipGraphNetwork`]'s
-//! `peercache_faults::Substrate::step`. [`SkipGraphNetwork::search`] is
+//! `peercache_faults::Substrate::step`, which reads the node's level
+//! links and aux pointers in place: it probes the usable candidate
+//! closest to the key, and a timed-out one is excluded through the walk's
+//! trace before the step decides again. [`SkipGraphNetwork::search`] is
 //! the repairing walk over it (dead links probed en route are forgotten
 //! afterwards); the simulator's read-only, fault-injected and
 //! node-runtime walks drive the same step.

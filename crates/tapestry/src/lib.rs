@@ -14,8 +14,11 @@
 //! are preferred whenever they advance the prefix further (§III-1).
 //!
 //! The forwarding rule lives in one function, [`TapestryNetwork`]'s
-//! `peercache_faults::Substrate::step`: a probe that times out excludes
-//! the hop and the decision re-runs. [`TapestryNetwork::route`] is the
+//! `peercache_faults::Substrate::step`, which reads the routing table in
+//! place: prefix progress needs only the aux pointers and cell
+//! `(lcp, key digit)`, since a row-`r` entry shares exactly `r` digits
+//! with its owner. A probe that times out excludes the hop and the
+//! decision re-runs. [`TapestryNetwork::route`] is the
 //! repairing walk over it (excluded entries are forgotten afterwards);
 //! the simulator's read-only, fault-injected and node-runtime walks drive
 //! the same step.
