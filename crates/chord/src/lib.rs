@@ -16,18 +16,21 @@
 //! node repairs its state only at its periodic stabilization, and probing
 //! a dead neighbor during a lookup costs a timeout (tracked separately
 //! from hops) before the next-best candidate is tried. Lookups that
-//! terminate at a node that wrongly believes it owns the key are reported
-//! as [`LookupOutcome::WrongOwner`] — the "unanswered queries" churn
-//! produces.
+//! terminate at a node that wrongly believes it owns the key fail with
+//! `peercache_faults::LookupFailure::WrongOwner` — the "unanswered
+//! queries" churn produces.
 //!
 //! The forwarding rule lives in one function, [`ChordNetwork`]'s
 //! `peercache_faults::Substrate::step`, which reads the node's fingers,
-//! successors and aux pointers in place: it probes the usable candidate
-//! closest to the key, and a timed-out one is excluded through the walk's
-//! trace before the step decides again. [`ChordNetwork::lookup`] is the
-//! repairing walk over it (dead neighbors probed en route are forgotten
-//! afterwards); the simulator's read-only, fault-injected and node-runtime
-//! walks drive the same step.
+//! successors and aux pointers in place and hands the shared probe loop,
+//! `peercache_faults::arrive`, its decision (the usable candidate
+//! closest to the key, `peercache_faults::clockwise_closest`, shared with
+//! the skip graph), its core test and its ownership verdict; a timed-out
+//! candidate is excluded through the walk's trace before the decision
+//! re-runs. [`ChordNetwork::lookup`] is the repairing walk over it (dead
+//! neighbors probed en route are forgotten afterwards) and returns the
+//! walk's `FaultedRoute`; the simulator's read-only, fault-injected and
+//! node-runtime walks drive the same step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,59 +38,6 @@
 mod network;
 mod node;
 
-pub use network::{ChordConfig, ChordNetwork, NetworkError};
+pub use network::{ChordConfig, ChordNetwork};
 pub use node::ChordNode;
-
-use peercache_faults::{FaultedRoute, LookupFailure};
-use peercache_id::Id;
-
-/// How a lookup ended.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LookupOutcome {
-    /// Terminated at the true owner of the key.
-    Success,
-    /// Terminated at a node that believes it owns the key but does not
-    /// (stale successor pointer under churn).
-    WrongOwner(Id),
-    /// A node had no live candidate to forward to.
-    DeadEnd(Id),
-    /// Hop budget exhausted (defensive; cannot happen in a stable ring).
-    HopLimit,
-}
-
-/// The result of routing one query.
-#[derive(Clone, Debug)]
-pub struct LookupResult {
-    /// How the lookup ended.
-    pub outcome: LookupOutcome,
-    /// Number of successful forwards taken.
-    pub hops: u32,
-    /// Dead neighbors probed along the way (timeouts), not counted as hops.
-    pub failed_probes: u32,
-    /// The nodes visited, starting with the source.
-    pub path: Vec<Id>,
-}
-
-impl LookupResult {
-    /// Whether the lookup reached the true owner.
-    pub fn is_success(&self) -> bool {
-        self.outcome == LookupOutcome::Success
-    }
-
-    /// The result of a walk; `None` when its origin was down.
-    fn from_route(route: FaultedRoute) -> Option<Self> {
-        let outcome = match route.outcome {
-            Ok(_) => LookupOutcome::Success,
-            Err(LookupFailure::WrongOwner(at)) => LookupOutcome::WrongOwner(at),
-            Err(LookupFailure::DeadEnd(at)) => LookupOutcome::DeadEnd(at),
-            Err(LookupFailure::HopLimit) => LookupOutcome::HopLimit,
-            Err(LookupFailure::OriginDown(_)) => return None,
-        };
-        Some(LookupResult {
-            outcome,
-            hops: route.trace.hops,
-            failed_probes: route.trace.timeouts,
-            path: route.trace.path,
-        })
-    }
-}
+pub use peercache_faults::NetworkError;

@@ -1,12 +1,10 @@
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 
-use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
+use peercache_faults::{arrive, clockwise_closest, FaultPlan, FaultedRoute, LookupFailure};
+use peercache_faults::{NetworkError, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 
 use crate::node::ChordNode;
-use crate::LookupResult;
 
 /// Configuration of a Chord deployment.
 #[derive(Clone, Copy, Debug)]
@@ -31,29 +29,6 @@ impl ChordConfig {
     }
 }
 
-/// Errors from membership operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetworkError {
-    /// The node id is already live.
-    AlreadyPresent(Id),
-    /// The node id is not live.
-    NotPresent(Id),
-    /// The id does not fit the configured id space.
-    OutOfSpace(Id),
-}
-
-impl fmt::Display for NetworkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetworkError::AlreadyPresent(id) => write!(f, "node {id} already in the ring"),
-            NetworkError::NotPresent(id) => write!(f, "node {id} not in the ring"),
-            NetworkError::OutOfSpace(id) => write!(f, "node {id} outside the id space"),
-        }
-    }
-}
-
-impl Error for NetworkError {}
-
 /// The whole simulated Chord ring: live nodes with their (possibly stale)
 /// routing state.
 ///
@@ -70,7 +45,7 @@ impl Error for NetworkError {}
 /// assert!(result.is_success());
 /// // An auxiliary pointer turns the lookup into a single hop.
 /// ring.set_aux(Id::new(10), &[Id::new(80)]).unwrap();
-/// assert_eq!(ring.lookup(Id::new(10), Id::new(100)).unwrap().hops, 1);
+/// assert_eq!(ring.lookup(Id::new(10), Id::new(100)).unwrap().trace.hops, 1);
 /// ```
 #[derive(Clone)]
 pub struct ChordNetwork {
@@ -422,15 +397,17 @@ impl ChordNetwork {
     /// policy: forward to the known neighbor closest to the key among
     /// those between the current node and the key (clockwise). Dead
     /// neighbors probed along the way are forgotten (and counted as
-    /// `failed_probes`), and the next-best candidate is tried. This is
+    /// `trace.timeouts`), and the next-best candidate is tried. This is
     /// the repairing walk ([`Substrate::walk_repairing`]) over the one
-    /// forwarding rule, [`Substrate::step`].
+    /// forwarding rule, [`Substrate::step`], under a transparent plan.
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn lookup(&mut self, from: Id, key: Id) -> Result<LookupResult, NetworkError> {
-        LookupResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
-            .ok_or(NetworkError::NotPresent(from))
+    pub fn lookup(&mut self, from: Id, key: Id) -> Result<FaultedRoute, NetworkError> {
+        if !self.is_live(from) {
+            return Err(NetworkError::NotPresent(from));
+        }
+        Ok(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
     }
 }
 
@@ -449,14 +426,11 @@ impl Substrate for ChordNetwork {
             .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One Chord arrival, read from the node's table in place: probe the
-    /// usable known neighbor between `current` and the key that is
-    /// closest to the key clockwise; a timed-out one is excluded through
-    /// `trace.dead_probed` and the decision re-runs. Under a
-    /// non-transparent plan, the first timed-out **auxiliary-only**
-    /// candidate bans the remaining auxiliary pointers at this arrival
-    /// (`trace.fallbacks`). With no live candidate, the node claims
-    /// ownership iff the key falls before its first surviving successor.
+    /// One Chord arrival, read from the node's table in place: the
+    /// fingers, successors and aux pointers feed [`clockwise_closest`],
+    /// and [`arrive`] probes its pick. With no live candidate, the node
+    /// claims ownership iff the key falls before its first surviving
+    /// successor.
     fn step<'a>(
         &self,
         current: Id,
@@ -482,58 +456,45 @@ impl Substrate for ChordNetwork {
         let Some(node) = self.nodes.get(&current.value()) else {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
-        let aux = plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
-        let mut aux_banned = false;
-        loop {
-            // Forward to the usable candidate between current and the key
-            // that is closest to the key — a node may only claim ownership
-            // when it knows of NOTHING between itself and the key (its
-            // successor pointer might be stale while a freshly fixed
-            // finger already knows better). A timed-out probe recorded
-            // `(current, w)` in `trace.dead_probed`, which excludes it.
-            // Clockwise distances are distinct, so this replays a probe
-            // order sorted by distance.
-            let extra: &[Id] = if aux_banned { &[] } else { aux };
-            let dead = &trace.dead_probed;
-            let Some(w) = node
-                .core()
-                .chain(extra.iter().copied())
-                .filter(|&w| {
-                    space.between_open_closed(current, w, key) && !dead.contains(&(current, w))
-                })
-                .min_by_key(|&w| space.clockwise_distance(w, key))
-            else {
-                break;
-            };
-            if plan.probe(current, w, trace.hops, self.is_live(w), trace) {
-                return WalkStep::Forward(w);
-            } else if !plan.is_transparent() && !aux_banned && !node.core().any(|c| c == w) {
-                aux_banned = true;
-                trace.fallbacks += 1;
-            }
-        }
-        // The repairing walk forgets the dead candidates it probed before
-        // anyone reads `successor()` again; skipping exactly those
-        // entries reproduces that post-repair successor view read-only.
-        let dead = &trace.dead_probed;
-        let believed = node
-            .successors
-            .iter()
-            .find(|&&s| !dead.contains(&(current, s)));
-        // Predecessor assignment: `current` owns keys in
-        // [current, successor).
-        let owns = match believed {
-            None => true, // believes it is alone
-            Some(&s) => space.between_closed_open(current, key, s),
-        };
-        let outcome = if current == true_owner {
-            Ok(current)
-        } else if owns {
-            Err(LookupFailure::WrongOwner(current))
-        } else {
-            Err(LookupFailure::DeadEnd(current))
-        };
-        WalkStep::Done(outcome)
+        arrive(
+            self,
+            space,
+            current,
+            true_owner,
+            aux_of(current),
+            plan,
+            trace,
+            scratch,
+            // A node may only claim ownership when it knows of NOTHING
+            // between itself and the key: its successor pointer might be
+            // stale while a freshly fixed finger already knows better.
+            |aux, dead| {
+                let candidates = node.core().chain(aux.iter().copied());
+                clockwise_closest(space, current, key, candidates, dead)
+            },
+            |w| node.core().any(|c| c == w),
+            |_, dead| {
+                // The repairing walk forgets the dead candidates it probed
+                // before anyone reads `successor()` again; skipping exactly
+                // those entries reproduces that post-repair successor view
+                // read-only.
+                let believed = node
+                    .successors
+                    .iter()
+                    .find(|&&s| !dead.contains(&(current, s)));
+                // Predecessor assignment: `current` owns keys in
+                // [current, successor).
+                let owns = match believed {
+                    None => true, // believes it is alone
+                    Some(&s) => space.between_closed_open(current, key, s),
+                };
+                if owns {
+                    LookupFailure::WrongOwner(current)
+                } else {
+                    LookupFailure::DeadEnd(current)
+                }
+            },
+        )
     }
 
     fn forget_neighbor(&mut self, id: Id, dead: Id) {

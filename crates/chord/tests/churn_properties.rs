@@ -2,7 +2,7 @@
 //! interleavings of joins, crashes, graceful leaves, stabilizations, and
 //! lookups must never panic, and a healed ring must route perfectly.
 
-use peercache_chord::{ChordConfig, ChordNetwork, LookupOutcome};
+use peercache_chord::{ChordConfig, ChordNetwork};
 use peercache_id::{Id, IdSpace};
 use proptest::prelude::*;
 
@@ -60,7 +60,7 @@ proptest! {
                     if net.is_live(from) {
                         let res = net.lookup(from, space.normalize(u128::from(key))).unwrap();
                         // Hops may not exceed the configured budget.
-                        prop_assert!(res.hops <= net.config().hop_limit);
+                        prop_assert!(res.trace.hops <= net.config().hop_limit);
                     }
                 }
             }
@@ -73,9 +73,7 @@ proptest! {
         for &from in live.iter().take(6) {
             for key in [0u128, 100, 200, 300, 400, 511] {
                 let res = net.lookup(from, Id::new(key)).unwrap();
-                prop_assert_eq!(
-                    res.outcome.clone(),
-                    LookupOutcome::Success,
+                prop_assert!(res.is_success(),
                     "healed ring must route: from {} key {} got {:?}",
                     from,
                     key,

@@ -1,7 +1,8 @@
 //! Protocol-level tests of the Chord overlay: ownership, routing bounds,
 //! churn staleness, stabilization repair, and auxiliary-neighbor routing.
 
-use peercache_chord::{ChordConfig, ChordNetwork, LookupOutcome};
+use peercache_chord::{ChordConfig, ChordNetwork};
+use peercache_faults::LookupFailure;
 use peercache_id::{Id, IdSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,8 +75,8 @@ fn lookup_reaches_owner_from_everywhere() {
     for &from in &ids {
         for &key in keys.iter().take(20) {
             let res = net.lookup(from, key).unwrap();
-            assert_eq!(res.outcome, LookupOutcome::Success, "from {from} key {key}");
-            assert_eq!(res.path.last(), Some(&net.true_owner(key).unwrap()));
+            assert!(res.is_success(), "from {from} key {key}");
+            assert_eq!(res.trace.path.last(), Some(&net.true_owner(key).unwrap()));
         }
     }
 }
@@ -90,8 +91,8 @@ fn stable_lookups_stay_within_log_bound() {
         let key = id(u128::from(rng.gen::<u32>()));
         let res = net.lookup(from, key).unwrap();
         assert!(res.is_success());
-        assert_eq!(res.failed_probes, 0, "no dead probes in a stable ring");
-        max_hops = max_hops.max(res.hops);
+        assert_eq!(res.trace.timeouts, 0, "no dead probes in a stable ring");
+        max_hops = max_hops.max(res.trace.hops);
     }
     // Steady state: ≤ b hops always; with 128 nodes, ≲ 2·log₂(128) ≈ 14
     // with overwhelming probability.
@@ -105,7 +106,7 @@ fn lookup_distance_strictly_decreases_no_loops() {
     for &from in &ids {
         let key = id(12345);
         let res = net.lookup(from, key).unwrap();
-        for pair in res.path.windows(2) {
+        for pair in res.trace.path.windows(2) {
             assert!(
                 space.clockwise_distance(pair[1], key) < space.clockwise_distance(pair[0], key),
                 "progress must be monotone"
@@ -121,14 +122,14 @@ fn aux_neighbors_shorten_routes() {
     // Find a target several hops away.
     let far = *ids
         .iter()
-        .max_by_key(|&&t| net.lookup(from, t).unwrap().hops)
+        .max_by_key(|&&t| net.lookup(from, t).unwrap().trace.hops)
         .unwrap();
-    let before = net.lookup(from, far).unwrap().hops;
+    let before = net.lookup(from, far).unwrap().trace.hops;
     assert!(before >= 2);
     net.set_aux(from, &[far]).unwrap();
     let after = net.lookup(from, far).unwrap();
     assert!(after.is_success());
-    assert_eq!(after.hops, 1, "direct pointer → one hop");
+    assert_eq!(after.trace.hops, 1, "direct pointer → one hop");
 }
 
 #[test]
@@ -150,8 +151,8 @@ fn join_makes_new_node_reachable_after_stabilization() {
     // … after one full round everyone routes correctly again.
     for &from in &ids {
         let res = net.lookup(from, newcomer).unwrap();
-        assert_eq!(res.outcome, LookupOutcome::Success, "from {from}");
-        assert_eq!(res.path.last(), Some(&newcomer));
+        assert!(res.is_success(), "from {from}");
+        assert_eq!(res.trace.path.last(), Some(&newcomer));
     }
 }
 
@@ -166,14 +167,11 @@ fn failed_node_leaves_stale_entries_until_stabilization() {
     for &from in ids.iter().filter(|&&f| f != victim).take(30) {
         let res = net.lookup(from, victim).unwrap();
         assert!(
-            matches!(
-                res.outcome,
-                LookupOutcome::Success | LookupOutcome::WrongOwner(_)
-            ),
+            matches!(res.outcome, Ok(_) | Err(LookupFailure::WrongOwner(_))),
             "outcome {:?}",
             res.outcome
         );
-        probes += res.failed_probes;
+        probes += res.trace.timeouts;
     }
     // After stabilization nobody references the victim.
     net.stabilize_all();
@@ -246,7 +244,7 @@ fn single_node_owns_everything() {
     for key in 0..16u128 {
         let res = net.lookup(id(5), id(key)).unwrap();
         assert!(res.is_success());
-        assert_eq!(res.hops, 0);
+        assert_eq!(res.trace.hops, 0);
     }
 }
 
@@ -254,13 +252,17 @@ fn single_node_owns_everything() {
 fn two_node_ring_routes_both_ways() {
     let mut net = build(4, &[3, 12]);
     // Keys in [3, 12) → node 3; [12, 3) → node 12.
-    assert_eq!(net.lookup(id(3), id(5)).unwrap().hops, 0);
+    assert_eq!(net.lookup(id(3), id(5)).unwrap().trace.hops, 0);
     let res = net.lookup(id(3), id(13)).unwrap();
     assert!(res.is_success());
-    assert_eq!(res.path.last(), Some(&id(12)));
+    assert_eq!(res.trace.path.last(), Some(&id(12)));
     let res = net.lookup(id(12), id(1)).unwrap();
     assert!(res.is_success());
-    assert_eq!(res.path.last(), Some(&id(12)), "wrap: 12 owns [12, 3)");
+    assert_eq!(
+        res.trace.path.last(),
+        Some(&id(12)),
+        "wrap: 12 owns [12, 3)"
+    );
 }
 
 #[test]

@@ -11,10 +11,14 @@
 //!
 //! The crate deliberately knows nothing about the substrates: each
 //! chord/pastry/tapestry/skipgraph network implements [`Substrate`],
-//! whose per-arrival [`Substrate::step`] calls [`FaultPlan::probe`] per
-//! contact attempt and [`FaultPlan::resolve_aux`] per cached-pointer
-//! read and records what happened in a [`RouteTrace`]; the one driver
-//! loop, [`walk`], steps it from the origin. All probability
+//! whose per-arrival [`Substrate::step`] supplies its next-hop decision,
+//! core-membership test and terminal verdict to the one probe loop,
+//! [`arrive`]. The loop alone calls [`FaultPlan::resolve_aux`] per
+//! cached-pointer read and [`FaultPlan::probe`] per contact attempt,
+//! owns the aux→core fallback and records what happened in a
+//! [`RouteTrace`]; the one driver loop, [`walk`], steps the arrivals
+//! from the origin. The substrates also share [`NetworkError`] and the
+//! ring decision [`clockwise_closest`]. All probability
 //! handling happens once at plan construction (an `f64` rate becomes a
 //! 53-bit integer threshold), so the per-probe hot path — and every
 //! caller — is free of floating-point comparisons.
@@ -29,5 +33,5 @@ mod trace;
 
 pub use liveness::Liveness;
 pub use plan::{FaultConfig, FaultPlan};
-pub use step::{walk, StepScratch, Substrate, WalkStep};
+pub use step::{arrive, clockwise_closest, walk, NetworkError, StepScratch, Substrate, WalkStep};
 pub use trace::{FaultedRoute, LookupFailure, RouteTrace};

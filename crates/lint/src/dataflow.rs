@@ -9,7 +9,7 @@
 //!
 //! * **L12 draw balance** runs over every function in the deterministic
 //!   crates that takes an RNG parameter. The lattice is
-//!   [`Draws`]: `Known(n)` counts draw calls on acyclic paths, joins of
+//!   `Draws`: `Known(n)` counts draw calls on acyclic paths, joins of
 //!   differing `Known`s at a branch merge produce `Conflict` (the
 //!   violation), and the same join at a loop header widens silently to
 //!   `Unknown` — iteration-dependent totals are loop-trip-count facts,
@@ -21,7 +21,7 @@
 //!   cleared this reuse cycle; the join is set intersection (cleared on
 //!   *every* incoming path), reads of an uncleared field report L13,
 //!   growth of an uncleared field reports L14, and method calls on the
-//!   scratch receiver splice the callee's per-field [`FieldFate`]
+//!   scratch receiver splice the callee's per-field `FieldFate`
 //!   summary so deep kernels are checked through their wrappers.
 //!
 //! Findings carry the intraprocedural merge/use site and the call chain

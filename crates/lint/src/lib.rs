@@ -9,7 +9,7 @@
 //! L7; pass 3 builds an interprocedural call graph ([`callgraph`]) and
 //! checks transitive reachability ([`reach`]) from the root sets
 //! declared in `lint.roots` (rules L9–L11, with SARIF `codeFlows` call
-//! chains); pass 4 builds intraprocedural control-flow graphs ([`cfg`])
+//! chains); pass 4 builds intraprocedural control-flow graphs ([`cfg`](mod@cfg))
 //! and runs forward dataflow ([`dataflow`]) composed with the pass-3
 //! call graph — RNG draw balance (L12) and scratch-buffer hygiene
 //! (L13/L14). See [`rules`] for the rule table, [`allow`] for the

@@ -82,8 +82,9 @@ where
 ///
 /// Where [`par_map`] dispatches one task per item, this dispatches one
 /// task per *chunk*: `f` receives the chunk's starting index and the chunk
-/// slice, and returns one output per input (the chunk results are
-/// concatenated in input order). Use it when per-item work is too small to
+/// slice, and returns the chunk's outputs — one per input for a map, one
+/// per chunk for an accumulator — concatenated in input order into a
+/// vector sized to the outputs. Use it when per-item work is too small to
 /// amortize a dispatch, or when a task wants to reuse scratch state across
 /// the items of its chunk. The determinism contract is unchanged — the
 /// serial path applies `f` to the exact same chunks in order, so results
@@ -102,7 +103,7 @@ where
         .map(|(c, chunk)| (c * chunk_size, chunk))
         .collect();
     let per_chunk = par_map_with(threads(), &chunks, |_, &(start, chunk)| f(start, chunk));
-    let mut out = Vec::with_capacity(items.len());
+    let mut out = Vec::with_capacity(per_chunk.iter().map(Vec::len).sum());
     for part in per_chunk {
         out.extend(part);
     }

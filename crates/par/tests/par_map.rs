@@ -5,7 +5,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use peercache_par::{derive_seed, par_map, par_map_with, with_threads};
+use peercache_par::{derive_seed, par_map, par_map_chunked, par_map_with, with_threads};
 
 #[test]
 fn preserves_input_order() {
@@ -47,6 +47,22 @@ fn empty_and_singleton_inputs() {
     let empty: Vec<u32> = Vec::new();
     assert!(par_map_with(4, &empty, |_, &x| x).is_empty());
     assert_eq!(par_map_with(4, &[9], |_, &x| x * x), vec![81]);
+}
+
+#[test]
+fn chunked_outputs_are_sized_to_the_outputs() {
+    let items: Vec<u32> = (0..1000).collect();
+    // One accumulator per chunk of 64: 16 outputs, and room for no more,
+    // however many inputs fed them.
+    let sums = par_map_chunked(&items, 64, |start, chunk| {
+        vec![(start, chunk.iter().sum::<u32>())]
+    });
+    assert_eq!(sums.len(), 16);
+    assert!(sums.capacity() < 2 * sums.len(), "{}", sums.capacity());
+    assert_eq!(sums[1], (64, (64..128).sum()));
+    // One output per input is a plain order-preserving map.
+    let doubled = par_map_chunked(&items, 64, |_, chunk| chunk.iter().map(|x| x * 2).collect());
+    assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
 }
 
 #[test]

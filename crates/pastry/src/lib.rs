@@ -23,11 +23,14 @@
 //! accessor (leaf set, table cell, proximity, config), and it is the
 //! `peercache_faults::Substrate::step` of both storage forms of the
 //! routing state: the materialised [`PastryNetwork`] and the scale
-//! tier's virtual [`PastryArena`]. A probe that times out excludes the
-//! hop and the decision re-runs. [`PastryNetwork::route`] is the
-//! repairing walk over it (excluded entries are forgotten afterwards);
-//! the simulator's read-only, fault-injected, scale and node-runtime
-//! walks drive the same step.
+//! tier's virtual [`PastryArena`]. The rule supplies the next-hop
+//! decision, the core test and the dead-end verdict; the shared probe
+//! loop, `peercache_faults::arrive`, probes the pick, and a probe that
+//! times out excludes the hop before the decision re-runs.
+//! [`PastryNetwork::route`] is the repairing walk over it (excluded
+//! entries are forgotten afterwards) and returns the walk's
+//! `FaultedRoute`; the simulator's read-only, fault-injected, scale and
+//! node-runtime walks drive the same step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,11 +41,9 @@ mod node;
 mod rule;
 
 pub use arena::PastryArena;
-pub use network::{NetworkError, PastryConfig, PastryNetwork};
+pub use network::{PastryConfig, PastryNetwork};
 pub use node::PastryNode;
-
-use peercache_faults::{FaultedRoute, LookupFailure};
-use peercache_id::Id;
+pub use peercache_faults::NetworkError;
 
 /// Next-hop tie-breaking policy (§VI-D).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -53,55 +54,4 @@ pub enum RoutingMode {
     /// Among all valid candidates, pick the one that gets numerically
     /// closest to the key (maximal progress).
     GreedyPrefix,
-}
-
-/// How a route ended.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RouteOutcome {
-    /// Terminated at the true owner of the key.
-    Success,
-    /// Terminated at a node that wrongly believes it is numerically
-    /// closest (stale leaf set under churn).
-    WrongOwner(Id),
-    /// No live candidate made progress.
-    DeadEnd(Id),
-    /// Hop budget exhausted (defensive).
-    HopLimit,
-}
-
-/// The result of routing one query.
-#[derive(Clone, Debug)]
-pub struct RouteResult {
-    /// How the route ended.
-    pub outcome: RouteOutcome,
-    /// Number of successful forwards.
-    pub hops: u32,
-    /// Dead neighbors probed (timeouts), not counted as hops.
-    pub failed_probes: u32,
-    /// Nodes visited, starting at the source.
-    pub path: Vec<Id>,
-}
-
-impl RouteResult {
-    /// Whether the route reached the true owner.
-    pub fn is_success(&self) -> bool {
-        self.outcome == RouteOutcome::Success
-    }
-
-    /// The result of a walk; `None` when its origin was down.
-    fn from_route(route: FaultedRoute) -> Option<Self> {
-        let outcome = match route.outcome {
-            Ok(_) => RouteOutcome::Success,
-            Err(LookupFailure::WrongOwner(at)) => RouteOutcome::WrongOwner(at),
-            Err(LookupFailure::DeadEnd(at)) => RouteOutcome::DeadEnd(at),
-            Err(LookupFailure::HopLimit) => RouteOutcome::HopLimit,
-            Err(LookupFailure::OriginDown(_)) => return None,
-        };
-        Some(RouteResult {
-            outcome,
-            hops: route.trace.hops,
-            failed_probes: route.trace.timeouts,
-            path: route.trace.path,
-        })
-    }
 }

@@ -1,13 +1,12 @@
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 
-use peercache_faults::{FaultPlan, RouteTrace, StepScratch, Substrate, WalkStep};
+use peercache_faults::{FaultPlan, FaultedRoute, NetworkError, RouteTrace, StepScratch};
+use peercache_faults::{Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 use rand::Rng;
 
 use crate::node::PastryNode;
-use crate::{rule, RouteResult, RoutingMode};
+use crate::{rule, RoutingMode};
 
 /// Configuration of a Pastry deployment.
 #[derive(Copy, Clone, Debug)]
@@ -71,29 +70,6 @@ impl PastryConfig {
     }
 }
 
-/// Errors from membership operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetworkError {
-    /// The node id is already live.
-    AlreadyPresent(Id),
-    /// The node id is not live.
-    NotPresent(Id),
-    /// The id does not fit the configured id space.
-    OutOfSpace(Id),
-}
-
-impl fmt::Display for NetworkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetworkError::AlreadyPresent(id) => write!(f, "node {id} already in the overlay"),
-            NetworkError::NotPresent(id) => write!(f, "node {id} not in the overlay"),
-            NetworkError::OutOfSpace(id) => write!(f, "node {id} outside the id space"),
-        }
-    }
-}
-
-impl Error for NetworkError {}
-
 /// Deterministic pseudo-random priority deciding which qualifying node a
 /// routing-table cell ends up holding (stands in for the accident of
 /// which node was encountered first during joins/row exchanges).
@@ -127,7 +103,7 @@ fn encounter_score(owner: Id, entry: Id) -> u64 {
 /// assert_eq!(overlay.true_owner(Id::new(0b0100_0000)), Some(Id::new(0b0101_0000)));
 /// let route = overlay.route(ids[0], Id::new(0b1100_1111)).unwrap();
 /// assert!(route.is_success());
-/// assert_eq!(route.path.last(), Some(&Id::new(0b1101_0000)));
+/// assert_eq!(route.trace.path.last(), Some(&Id::new(0b1101_0000)));
 /// ```
 #[derive(Clone)]
 pub struct PastryNetwork {
@@ -450,15 +426,17 @@ impl PastryNetwork {
     /// Route a query for `key` from `from` under the configured
     /// [`RoutingMode`]: the repairing walk
     /// ([`Substrate::walk_repairing`]) over the one forwarding rule,
-    /// [`Substrate::step`]. Dead entries probed along the way are
-    /// forgotten (and counted as `failed_probes`) and the decision
-    /// re-runs without them.
+    /// [`Substrate::step`], under a transparent plan. Dead entries probed
+    /// along the way are forgotten (and counted as `trace.timeouts`) and
+    /// the decision re-runs without them.
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn route(&mut self, from: Id, key: Id) -> Result<RouteResult, NetworkError> {
-        RouteResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
-            .ok_or(NetworkError::NotPresent(from))
+    pub fn route(&mut self, from: Id, key: Id) -> Result<FaultedRoute, NetworkError> {
+        if !self.is_live(from) {
+            return Err(NetworkError::NotPresent(from));
+        }
+        Ok(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
     }
 }
 

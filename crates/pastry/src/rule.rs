@@ -13,7 +13,8 @@
 //! that one cell, the leaf set and the auxiliary pointers per hop, and
 //! scans whole rows only for the numeric fallback and the dead-end test.
 
-use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
+use peercache_faults::{arrive, FaultPlan, LookupFailure, RouteTrace, StepScratch};
+use peercache_faults::{Substrate, WalkStep};
 use peercache_id::Id;
 
 use crate::{PastryArena, PastryConfig, PastryNetwork, PastryNode, RoutingMode};
@@ -123,14 +124,12 @@ fn cells<'a, T: PrefixTable>(
 }
 
 /// One Pastry arrival at `current` — the body of both storage forms'
-/// [`Substrate::step`]: decide the next hop (leaf-set short-circuit,
-/// then prefix progress, then numerical progress) and probe it; a
-/// timed-out hop is excluded and the decision re-runs. Under a
-/// non-transparent plan, the first timed-out **auxiliary-only** hop bans
-/// the remaining auxiliary pointers at this node, falling back to core
-/// routing state (`trace.fallbacks`). With no hop left, a node that
-/// still knows a strictly closer (unexcluded) node is a dead end;
-/// otherwise it wrongly claims ownership.
+/// [`Substrate::step`]: past the hop budget and the table lookup, the
+/// shared probe loop ([`arrive`]) runs this rule's decision (leaf-set
+/// short-circuit, then prefix progress, then numerical progress), its
+/// core test (leaf or table cell) and its verdict: with no hop left, a
+/// node that still knows a strictly closer (unexcluded) node is a dead
+/// end; otherwise it wrongly claims ownership.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step<'a, T: PrefixTable + Substrate>(
     table: &T,
@@ -155,34 +154,28 @@ pub(crate) fn step<'a, T: PrefixTable + Substrate>(
             Err(LookupFailure::WrongOwner(current))
         });
     };
-    let aux = plan.resolve_aux(config.space, current, aux_of(current), &mut scratch.aux);
-    let mut aux_banned = false;
-    loop {
-        let extra: &[Id] = if aux_banned { &[] } else { aux };
-        let dead = &trace.dead_probed;
-        let Some(next) = next_hop(table, node, current, key, extra, dead) else {
-            let outcome = if current == true_owner {
-                Ok(current)
-            } else if knows_closer(table, node, current, key, extra, dead) {
+    arrive(
+        table,
+        config.space,
+        current,
+        true_owner,
+        aux_of(current),
+        plan,
+        trace,
+        scratch,
+        |aux, dead| next_hop(table, node, current, key, aux, dead),
+        |w| is_core(table, node, current, w),
+        |aux, dead| {
+            if knows_closer(table, node, current, key, aux, dead) {
                 // A strictly closer node is known but unusable under the
                 // forwarding rule — a dead end rather than a wrong claim
                 // of ownership.
-                Err(LookupFailure::DeadEnd(current))
+                LookupFailure::DeadEnd(current)
             } else {
-                Err(LookupFailure::WrongOwner(current))
-            };
-            return WalkStep::Done(outcome);
-        };
-        if plan.probe(current, next, trace.hops, table.is_live(next), trace) {
-            return WalkStep::Forward(next);
-        } else if !plan.is_transparent() && !aux_banned && !is_core(table, node, current, next) {
-            // The probe failure already excluded `next` via
-            // `trace.dead_probed`; it was a cached pointer, so ban the
-            // rest of the aux set here and fall back to core state.
-            aux_banned = true;
-            trace.fallbacks += 1;
-        }
-    }
+                LookupFailure::WrongOwner(current)
+            }
+        },
+    )
 }
 
 /// Whether `w` is usable at `current`: not `current` itself and not an

@@ -3,7 +3,7 @@
 //! repaired overlay must route perfectly.
 
 use peercache_id::{Id, IdSpace};
-use peercache_pastry::{PastryConfig, PastryNetwork, RouteOutcome, RoutingMode};
+use peercache_pastry::{PastryConfig, PastryNetwork, RoutingMode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,7 +66,7 @@ proptest! {
                     let from = space.normalize(u128::from(from));
                     if net.is_live(from) {
                         let res = net.route(from, space.normalize(u128::from(key))).unwrap();
-                        prop_assert!(res.hops <= net.config().hop_limit);
+                        prop_assert!(res.trace.hops <= net.config().hop_limit);
                     }
                 }
                 _ => {}
@@ -78,9 +78,7 @@ proptest! {
         for &from in live.iter().take(6) {
             for key in [0u128, 77, 200, 311, 444, 511] {
                 let res = net.route(from, Id::new(key)).unwrap();
-                prop_assert_eq!(
-                    res.outcome.clone(),
-                    RouteOutcome::Success,
+                prop_assert!(res.is_success(),
                     "repaired overlay must route: from {} key {} got {:?}",
                     from, key, res.outcome
                 );

@@ -2,7 +2,7 @@
 //! locality mode, churn, and auxiliary-neighbor routing.
 
 use peercache_id::{Id, IdSpace};
-use peercache_pastry::{PastryConfig, PastryNetwork, RouteOutcome, RoutingMode};
+use peercache_pastry::{PastryConfig, PastryNetwork, RoutingMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,13 +60,9 @@ fn routing_reaches_owner_from_everywhere() {
             for _ in 0..10 {
                 let key = id(u128::from(rng.gen::<u16>()));
                 let res = net.route(from, key).unwrap();
-                assert_eq!(
-                    res.outcome,
-                    RouteOutcome::Success,
-                    "mode {mode:?} from {from} key {key}"
-                );
-                assert_eq!(res.path.last(), Some(&net.true_owner(key).unwrap()));
-                assert_eq!(res.failed_probes, 0);
+                assert!(res.is_success(), "mode {mode:?} from {from} key {key}");
+                assert_eq!(res.trace.path.last(), Some(&net.true_owner(key).unwrap()));
+                assert_eq!(res.trace.timeouts, 0);
             }
         }
     }
@@ -82,7 +78,7 @@ fn stable_hops_within_logarithmic_bound() {
         let key = id(u128::from(rng.gen::<u32>()));
         let res = net.route(from, key).unwrap();
         assert!(res.is_success());
-        max_hops = max_hops.max(res.hops);
+        max_hops = max_hops.max(res.trace.hops);
     }
     // Prefix routing: ≈ log₂ n + leaf-set step; 128 nodes → ≲ 12.
     assert!(max_hops <= 12, "max hops {max_hops}");
@@ -98,8 +94,8 @@ fn base16_digits_route_in_fewer_hops() {
     for _ in 0..500 {
         let from = ids[rng.gen_range(0..ids.len())];
         let key = id(u128::from(rng.gen::<u32>()));
-        h1 += u64::from(net1.route(from, key).unwrap().hops);
-        h4 += u64::from(net4.route(from, key).unwrap().hops);
+        h1 += u64::from(net1.route(from, key).unwrap().trace.hops);
+        h4 += u64::from(net4.route(from, key).unwrap().trace.hops);
     }
     assert!(h4 < h1, "base-16 ({h4}) must beat base-2 ({h1})");
 }
@@ -110,14 +106,14 @@ fn aux_neighbors_shorten_routes() {
     let from = ids[0];
     let far = *ids
         .iter()
-        .max_by_key(|&&t| net.route(from, t).unwrap().hops)
+        .max_by_key(|&&t| net.route(from, t).unwrap().trace.hops)
         .unwrap();
-    let before = net.route(from, far).unwrap().hops;
+    let before = net.route(from, far).unwrap().trace.hops;
     assert!(before >= 2);
     net.set_aux(from, &[far]).unwrap();
     let after = net.route(from, far).unwrap();
     assert!(after.is_success());
-    assert_eq!(after.hops, 1);
+    assert_eq!(after.trace.hops, 1);
 }
 
 #[test]
@@ -146,12 +142,12 @@ fn locality_mode_prefers_near_candidates() {
         let rg = greedy.route(from, key).unwrap();
         let rl = local.route(from, key).unwrap();
         assert!(rg.is_success() && rl.is_success());
-        hops_greedy += u64::from(rg.hops);
-        hops_local += u64::from(rl.hops);
-        for w in rg.path.windows(2) {
+        hops_greedy += u64::from(rg.trace.hops);
+        hops_local += u64::from(rl.trace.hops);
+        for w in rg.trace.path.windows(2) {
             lat_greedy += greedy.proximity(w[0], w[1]);
         }
-        for w in rl.path.windows(2) {
+        for w in rl.trace.path.windows(2) {
             lat_local += local.proximity(w[0], w[1]);
         }
     }
@@ -173,8 +169,8 @@ fn join_is_routable_after_announcement_and_repair() {
     net.repair_all();
     for &from in &ids {
         let res = net.route(from, newcomer).unwrap();
-        assert_eq!(res.outcome, RouteOutcome::Success, "from {from}");
-        assert_eq!(res.path.last(), Some(&newcomer));
+        assert!(res.is_success(), "from {from}");
+        assert_eq!(res.trace.path.last(), Some(&newcomer));
     }
 }
 
@@ -234,7 +230,7 @@ fn single_node_owns_everything() {
     for key in (0..256u128).step_by(17) {
         let res = net.route(id(77), id(key)).unwrap();
         assert!(res.is_success());
-        assert_eq!(res.hops, 0);
+        assert_eq!(res.trace.hops, 0);
     }
 }
 

@@ -35,8 +35,12 @@ pub enum RecomputeMode {
     /// [`Full`](Self::Full), which the differential suite enforces.
     Incremental,
     /// The pre-refactor path: snapshot the node's counter and run a
-    /// full solve at every tick. Kept as the differential baseline and
-    /// for the `churn_recompute_full` kernel.
+    /// full solve at every tick. Kept as the differential baseline
+    /// (`churn_refresh_equivalence`, and the benchmark's churn workload
+    /// checks its first run against it); `perf_baseline`'s
+    /// `churn_recompute_full` kernel times
+    /// [`ChurnRecomputeBench::tick_full`](crate::ChurnRecomputeBench::tick_full)
+    /// instead.
     Full,
 }
 

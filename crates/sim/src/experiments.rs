@@ -6,7 +6,7 @@
 //!
 //! Every figure is a sweep of independent parameter points, so the
 //! runners fan the points out over the [`peercache_par`] pool (see
-//! [`SweepJob`]); by the pool's determinism contract the resulting tables
+//! `SweepJob`); by the pool's determinism contract the resulting tables
 //! are bit-identical at any thread count, including fully serial.
 
 use peercache_pastry::RoutingMode;

@@ -48,7 +48,7 @@ pub use churn::{
 };
 pub use experiments::{fig3, fig4, fig5, fig6, render_table, FigureRow, Scale};
 pub use faults::{fault_matrix, fault_matrix_multi, FaultMatrixCell, FaultMatrixConfig};
-pub use metrics::{reduction_pct, FaultMetrics, HopAccumulator, QueryMetrics};
+pub use metrics::{reduction_pct, FaultMetrics, QueryMetrics};
 pub use overlay::{OverlayKind, QueryOutcome, SimOverlay};
 pub use refresh::ChurnRecomputeBench;
 pub use scale::{

@@ -85,94 +85,6 @@ impl QueryMetrics {
     }
 }
 
-/// Hop bins in a [`HopAccumulator`]. Every substrate's hop budget is at
-/// most `4 · digit_count ≤ 4 · 32 = 128`, so 256 bins can never saturate
-/// in practice; the top bin absorbs anything larger defensively.
-pub const HOP_BINS: usize = 256;
-
-/// A **fixed-size** streaming metrics accumulator: the same counters as
-/// [`QueryMetrics`] but with a fixed hop-histogram array, so a
-/// measurement pass over millions of queries writes into a constant
-/// footprint instead of growing a per-pass vector. Chunked sweeps keep
-/// one accumulator per task and [`merge`](Self::merge) them in chunk
-/// order; every field is an order-independent integer sum, so the merged
-/// result is byte-identical to a serial pass.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HopAccumulator {
-    issued: u64,
-    succeeded: u64,
-    failed: u64,
-    total_hops: u64,
-    failed_probes: u64,
-    bins: Box<[u64; HOP_BINS]>,
-}
-
-impl Default for HopAccumulator {
-    fn default() -> Self {
-        HopAccumulator {
-            issued: 0,
-            succeeded: 0,
-            failed: 0,
-            total_hops: 0,
-            failed_probes: 0,
-            bins: Box::new([0; HOP_BINS]),
-        }
-    }
-}
-
-impl HopAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        HopAccumulator::default()
-    }
-
-    /// Record one routed query (same contract as [`QueryMetrics::record`]).
-    pub fn record(&mut self, success: bool, hops: u32, failed_probes: u32) {
-        self.issued += 1;
-        self.failed_probes += u64::from(failed_probes);
-        if success {
-            self.succeeded += 1;
-            self.total_hops += u64::from(hops);
-            self.bins[(hops as usize).min(HOP_BINS - 1)] += 1;
-        } else {
-            self.failed += 1;
-        }
-    }
-
-    /// Merge another accumulator into this one (integer sums — order
-    /// independent).
-    pub fn merge(&mut self, other: &HopAccumulator) {
-        self.issued += other.issued;
-        self.succeeded += other.succeeded;
-        self.failed += other.failed;
-        self.total_hops += other.total_hops;
-        self.failed_probes += other.failed_probes;
-        for (dst, src) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *dst += src;
-        }
-    }
-
-    /// Queries recorded so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Convert into the driver-facing [`QueryMetrics`], trimming the
-    /// fixed histogram to the highest occupied bin — exactly the vector a
-    /// serial [`QueryMetrics::record`] loop would have grown.
-    pub fn into_metrics(self) -> QueryMetrics {
-        let last = self.bins.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-        QueryMetrics {
-            issued: self.issued,
-            succeeded: self.succeeded,
-            failed: self.failed,
-            total_hops: self.total_hops,
-            failed_probes: self.failed_probes,
-            hop_histogram: self.bins[..last].to_vec(),
-        }
-    }
-}
-
 /// [`QueryMetrics`] plus the degradation counters a fault-injected walk
 /// reports through its [`RouteTrace`](peercache_faults::RouteTrace).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
@@ -237,7 +149,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hop_accumulator_matches_serial_query_metrics() {
+    fn merged_chunks_match_serial_record() {
         let outcomes = [
             (true, 3u32, 0u32),
             (true, 5, 1),
@@ -246,8 +158,8 @@ mod tests {
             (true, 200, 0),
         ];
         let mut serial = QueryMetrics::default();
-        let mut left = HopAccumulator::new();
-        let mut right = HopAccumulator::new();
+        let mut left = QueryMetrics::default();
+        let mut right = QueryMetrics::default();
         for (i, &(s, h, p)) in outcomes.iter().enumerate() {
             serial.record(s, h, p);
             if i < 2 {
@@ -257,16 +169,10 @@ mod tests {
             }
         }
         left.merge(&right);
-        assert_eq!(left.issued(), serial.issued);
-        assert_eq!(left.into_metrics(), serial);
-    }
-
-    #[test]
-    fn empty_hop_accumulator_converts_to_default_metrics() {
-        assert_eq!(
-            HopAccumulator::new().into_metrics(),
-            QueryMetrics::default()
-        );
+        assert_eq!(left, serial);
+        let mut empty = QueryMetrics::default();
+        empty.merge(&QueryMetrics::default());
+        assert_eq!(empty, QueryMetrics::default());
     }
 
     #[test]

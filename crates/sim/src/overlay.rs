@@ -1,6 +1,7 @@
-//! A thin bridge unifying the Chord and Pastry substrates for the
-//! experiment drivers, including the per-overlay dispatch of the
-//! frequency-aware and frequency-oblivious selection algorithms.
+//! A thin bridge unifying the four substrates (Chord, Pastry, Tapestry,
+//! the skip graph) for the experiment drivers, including the
+//! per-overlay dispatch of the frequency-aware and frequency-oblivious
+//! selection algorithms.
 
 use peercache_chord::{ChordConfig, ChordNetwork};
 use peercache_core::{baseline, chord, pastry, Candidate, ChordProblem, PastryProblem};

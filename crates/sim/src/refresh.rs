@@ -14,11 +14,11 @@
 //!
 //! The engine has two layers:
 //!
-//! * [`RetainedPastry`] — one node's retained optimizer, mirror pool,
+//! * `RetainedPastry` — one node's retained optimizer, mirror pool,
 //!   and selection scratch. Substrate-generic over the trie family
 //!   (Pastry and Tapestry); under churn the **core** set drifts too, so
 //!   the delta extends to `remove_core`/`add_core` pairs.
-//! * [`ChurnRefresh`] — the churn driver's per-node engine: `observe`
+//! * `ChurnRefresh` — the churn driver's per-node engine: `observe`
 //!   marks a node dirty instead of materialising a snapshot, flips
 //!   invalidate the flipped node's retained state (and bump a ring
 //!   epoch for the rank-space substrate), and a recompute tick costs
@@ -26,7 +26,7 @@
 //!   full solver but keep the clean-skip: an untouched node re-installs
 //!   its cached selection without re-solving.
 //!
-//! [`CounterSlab`] is the scale-tier counterpart of the per-node
+//! `CounterSlab` is the scale-tier counterpart of the per-node
 //! estimators: a flat fixed-stride Space-Saving slab whose footprint is
 //! independent of query volume, for churn probes at `n = 10⁵` under the
 //! CI bytes-per-node ceiling. [`ChurnRecomputeBench`] packages the
@@ -565,7 +565,7 @@ impl CounterSlab {
 /// [`tick_full`](Self::tick_full) replays the pre-refactor arm —
 /// snapshot, full solve, install, per node — and
 /// [`tick_incremental`](Self::tick_incremental) drives the same pass
-/// through [`ChurnRefresh`]: dirty nodes absorb their counter delta into
+/// through `ChurnRefresh`: dirty nodes absorb their counter delta into
 /// the retained optimizer, clean nodes re-install their cached
 /// selection. Both return a fold of the installed selections, so the
 /// differential unit test (and a paranoid bench harness) can assert the

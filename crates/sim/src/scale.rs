@@ -25,7 +25,7 @@
 //! scale tests and the CI gate pin down.
 //!
 //! Memory discipline: selections live in per-shard fixed-stride slabs,
-//! measurement streams into fixed [`HopAccumulator`]s, and per-node
+//! measurement streams into one [`QueryMetrics`] per query chunk, and per-node
 //! state never outlives its shard task — the bytes-per-node gauge in
 //! `fig3_scale` holds the whole engine to a committed ceiling.
 
@@ -41,7 +41,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-use crate::metrics::{reduction_pct, HopAccumulator, QueryMetrics};
+use crate::metrics::{reduction_pct, QueryMetrics};
 use crate::refresh::CounterSlab;
 
 /// Queries per measurement task. Like the selection fan-out's
@@ -126,7 +126,7 @@ impl AuxSlab {
 
 /// Record one walk: the arena is immutable and every member live, so a
 /// transparent plan never times out and no origin is ever down.
-fn record(acc: &mut HopAccumulator, route: &FaultedRoute) {
+fn record(acc: &mut QueryMetrics, route: &FaultedRoute) {
     acc.record(
         route.outcome.is_ok(),
         route.trace.hops,
@@ -513,7 +513,7 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
             None => &[],
         };
         let accs = peercache_par::par_map_chunked(&queries, QUERY_CHUNK, |_, chunk| {
-            let mut acc = HopAccumulator::new();
+            let mut acc = QueryMetrics::default();
             for &(origin, item) in chunk {
                 let route = walk(
                     &arena,
@@ -526,11 +526,11 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
             }
             vec![acc]
         });
-        let mut total = HopAccumulator::new();
+        let mut total = QueryMetrics::default();
         for acc in &accs {
             total.merge(acc);
         }
-        total.into_metrics()
+        total
     };
 
     let core_only = measure(None);
@@ -561,7 +561,7 @@ pub struct ScaleChurnConfig {
     /// Queries routed — and observed into the counters — per round.
     pub queries_per_round: usize,
     /// Monitored peers per node counter (the Space-Saving stride of the
-    /// [`CounterSlab`]); clamped to `[1, 255]`.
+    /// `CounterSlab`); clamped to `[1, 255]`.
     pub counter_stride: usize,
 }
 
@@ -613,12 +613,12 @@ fn walk_alive(alive: &[bool], rank: usize) -> usize {
         .expect("the flip loop keeps at least one member alive")
 }
 
-/// The scale tier of the churn driver (ROADMAP item 1's remainder,
-/// closed by the incremental refresh engine): each round flips a slice
+/// The scale tier of the churn driver, built on the incremental
+/// refresh engine: each round flips a slice
 /// of the membership, routes a query stream over the live aware sets,
 /// streams the `(origin, owner)` observations into a fixed-stride
-/// [`CounterSlab`], and re-solves **only** the dirty alive nodes — the
-/// same observe-then-refresh-dirty cycle as [`ChurnRefresh`], with the
+/// `CounterSlab`, and re-solves **only** the dirty alive nodes — the
+/// same observe-then-refresh-dirty cycle as `ChurnRefresh`, with the
 /// retained optimizers traded for bounded counters so per-node state
 /// stays a fixed few hundred bytes at `n = 10⁵`.
 ///
@@ -632,8 +632,6 @@ fn walk_alive(alive: &[bool], rank: usize) -> usize {
 /// node's re-solve depends only on its own counters — so the report is
 /// bit-identical at any shard and thread count, which the invariance
 /// test below and the CI scale job pin down.
-///
-/// [`ChurnRefresh`]: crate::refresh::ChurnRefresh
 ///
 /// # Panics
 /// Panics on nonsensical configurations (zero nodes/items/rounds) —
@@ -741,7 +739,7 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
             shard.aware.get(rank - shard.start)
         };
         let chunk_results = peercache_par::par_map_chunked(&queries, QUERY_CHUNK, |_, chunk| {
-            let mut acc = HopAccumulator::new();
+            let mut acc = QueryMetrics::default();
             let mut observations = Vec::with_capacity(chunk.len());
             for &(origin, item) in chunk {
                 let route = walk(
@@ -762,7 +760,7 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
         //    accumulators and absorb the observations into the counter
         //    slab, dirty-marking each observer (self-ownership teaches
         //    a node nothing — it already owns the key).
-        let mut total = HopAccumulator::new();
+        let mut total = QueryMetrics::default();
         for (acc, observations) in &chunk_results {
             total.merge(acc);
             for &(origin, owner) in observations {
@@ -823,7 +821,7 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
             flips,
             alive: alive_count,
             refreshed,
-            metrics: total.into_metrics(),
+            metrics: total,
         });
     }
 

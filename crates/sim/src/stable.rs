@@ -280,7 +280,7 @@ pub(crate) fn select_aware_sets(inputs: &SelectionInputs, k: usize, chunk: usize
 
 /// Pre-built inputs for timing the aware-selection fan-out at explicit
 /// chunk sizes — the bench hook behind `perf_baseline`'s chunk sweep
-/// that tunes [`SELECT_CHUNK`].
+/// that tunes `SELECT_CHUNK`.
 pub struct SelectionBench {
     inputs: SelectionInputs,
     k: usize,

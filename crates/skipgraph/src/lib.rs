@@ -19,11 +19,15 @@
 //!
 //! The forwarding rule lives in one function, [`SkipGraphNetwork`]'s
 //! `peercache_faults::Substrate::step`, which reads the node's level
-//! links and aux pointers in place: it probes the usable candidate
-//! closest to the key, and a timed-out one is excluded through the walk's
-//! trace before the step decides again. [`SkipGraphNetwork::search`] is
-//! the repairing walk over it (dead links probed en route are forgotten
-//! afterwards); the simulator's read-only, fault-injected and
+//! links and aux pointers in place and hands the shared probe loop,
+//! `peercache_faults::arrive`, Chord's decision (the usable candidate
+//! closest to the key, `peercache_faults::clockwise_closest`), its core
+//! test and its verdict (a node with no live candidate left believes it
+//! is the key's predecessor); a timed-out candidate is excluded through
+//! the walk's trace before the decision re-runs.
+//! [`SkipGraphNetwork::search`] is the repairing walk over it (dead links
+//! probed en route are forgotten afterwards) and returns the walk's
+//! `FaultedRoute`; the simulator's read-only, fault-injected and
 //! node-runtime walks drive the same step.
 
 #![forbid(unsafe_code)]
@@ -31,59 +35,5 @@
 
 mod network;
 
-pub use network::{NetworkError, SkipGraphConfig, SkipGraphNetwork, SkipNode};
-
-use peercache_faults::{FaultedRoute, LookupFailure};
-use peercache_id::Id;
-
-/// How a search ended.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SearchOutcome {
-    /// Terminated at the true owner (the key's predecessor).
-    Success,
-    /// Terminated elsewhere (stale links under churn).
-    WrongOwner(Id),
-    /// Hop budget exhausted (defensive).
-    HopLimit,
-}
-
-/// The result of one search.
-#[derive(Clone, Debug)]
-pub struct SearchResult {
-    /// How the search ended.
-    pub outcome: SearchOutcome,
-    /// Successful forwards taken.
-    pub hops: u32,
-    /// Dead neighbors probed (timeouts), not counted as hops.
-    pub failed_probes: u32,
-    /// Nodes visited, starting at the source.
-    pub path: Vec<Id>,
-}
-
-impl SearchResult {
-    /// Whether the search reached the true owner.
-    pub fn is_success(&self) -> bool {
-        self.outcome == SearchOutcome::Success
-    }
-
-    /// The result of a walk; `None` when its origin was down.
-    fn from_route(route: FaultedRoute) -> Option<Self> {
-        let outcome = match route.outcome {
-            Ok(_) => SearchOutcome::Success,
-            // The step reports a dead end only for a current node missing
-            // from the graph, which a walk over probed-live nodes never
-            // reaches; it ends at the wrong node either way.
-            Err(LookupFailure::WrongOwner(at) | LookupFailure::DeadEnd(at)) => {
-                SearchOutcome::WrongOwner(at)
-            }
-            Err(LookupFailure::HopLimit) => SearchOutcome::HopLimit,
-            Err(LookupFailure::OriginDown(_)) => return None,
-        };
-        Some(SearchResult {
-            outcome,
-            hops: route.trace.hops,
-            failed_probes: route.trace.timeouts,
-            path: route.trace.path,
-        })
-    }
-}
+pub use network::{SkipGraphConfig, SkipGraphNetwork, SkipNode};
+pub use peercache_faults::NetworkError;

@@ -1,11 +1,8 @@
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 
-use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
+use peercache_faults::{arrive, clockwise_closest, FaultPlan, FaultedRoute, LookupFailure};
+use peercache_faults::{NetworkError, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
-
-use crate::SearchResult;
 
 /// Configuration of a skip-graph deployment.
 #[derive(Copy, Clone, Debug)]
@@ -25,29 +22,6 @@ impl SkipGraphConfig {
         }
     }
 }
-
-/// Errors from membership operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetworkError {
-    /// The node id is already live.
-    AlreadyPresent(Id),
-    /// The node id is not live.
-    NotPresent(Id),
-    /// The id does not fit the configured key space.
-    OutOfSpace(Id),
-}
-
-impl fmt::Display for NetworkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetworkError::AlreadyPresent(id) => write!(f, "node {id} already in the graph"),
-            NetworkError::NotPresent(id) => write!(f, "node {id} not in the graph"),
-            NetworkError::OutOfSpace(id) => write!(f, "node {id} outside the key space"),
-        }
-    }
-}
-
-impl Error for NetworkError {}
 
 /// Deterministic membership vector: 64 pseudo-random bits derived from
 /// the node id (SplitMix64 finalizer), so rebuilds are reproducible.
@@ -379,14 +353,16 @@ impl SkipGraphNetwork {
     /// links and auxiliaries (never overshooting the key), terminating at
     /// the believed predecessor. This is the repairing walk
     /// ([`Substrate::walk_repairing`]) over the one forwarding rule,
-    /// [`Substrate::step`]: dead links probed along the way are forgotten
-    /// (and counted as `failed_probes`).
+    /// [`Substrate::step`], under a transparent plan: dead links probed
+    /// along the way are forgotten (and counted as `trace.timeouts`).
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn search(&mut self, from: Id, key: Id) -> Result<SearchResult, NetworkError> {
-        SearchResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
-            .ok_or(NetworkError::NotPresent(from))
+    pub fn search(&mut self, from: Id, key: Id) -> Result<FaultedRoute, NetworkError> {
+        if !self.is_live(from) {
+            return Err(NetworkError::NotPresent(from));
+        }
+        Ok(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
     }
 }
 
@@ -405,14 +381,10 @@ impl Substrate for SkipGraphNetwork {
             .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One skip-graph arrival, read from the node's links in place:
-    /// probe the usable known node between `current` and the key that is
-    /// closest to the key clockwise; a timed-out one is excluded through
-    /// `trace.dead_probed` and the decision re-runs. Under a
-    /// non-transparent plan, the first timed-out **auxiliary-only**
-    /// candidate bans the remaining auxiliary pointers at this arrival
-    /// (`trace.fallbacks`). With no live candidate, `current` is the
-    /// believed predecessor of the key.
+    /// One skip-graph arrival, read from the node's links in place: the
+    /// level links and aux pointers feed [`clockwise_closest`], and
+    /// [`arrive`] probes its pick. With no live candidate, `current` is
+    /// the believed predecessor of the key.
     fn step<'a>(
         &self,
         current: Id,
@@ -436,39 +408,22 @@ impl Substrate for SkipGraphNetwork {
         let Some(node) = self.nodes.get(&current.value()) else {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
-        let aux = plan.resolve_aux(space, current, aux_of(current), &mut scratch.aux);
-        let mut aux_banned = false;
-        loop {
-            // The usable candidate between current and the key that is
-            // closest to the key; a timed-out probe recorded
-            // `(current, w)` in `trace.dead_probed`, which excludes it.
-            // Clockwise distances are distinct, so this replays a probe
-            // order sorted by distance.
-            let extra: &[Id] = if aux_banned { &[] } else { aux };
-            let dead = &trace.dead_probed;
-            let Some(w) = node
-                .core()
-                .chain(extra.iter().copied())
-                .filter(|&w| {
-                    space.between_open_closed(current, w, key) && !dead.contains(&(current, w))
-                })
-                .min_by_key(|&w| space.clockwise_distance(w, key))
-            else {
-                break;
-            };
-            if plan.probe(current, w, trace.hops, self.is_live(w), trace) {
-                return WalkStep::Forward(w);
-            } else if !plan.is_transparent() && !aux_banned && !node.core().any(|c| c == w) {
-                aux_banned = true;
-                trace.fallbacks += 1;
-            }
-        }
-        let outcome = if current == true_owner {
-            Ok(current)
-        } else {
-            Err(LookupFailure::WrongOwner(current))
-        };
-        WalkStep::Done(outcome)
+        arrive(
+            self,
+            space,
+            current,
+            true_owner,
+            aux_of(current),
+            plan,
+            trace,
+            scratch,
+            |aux, dead| {
+                let candidates = node.core().chain(aux.iter().copied());
+                clockwise_closest(space, current, key, candidates, dead)
+            },
+            |w| node.core().any(|c| c == w),
+            |_, _| LookupFailure::WrongOwner(current),
+        )
     }
 
     fn forget_neighbor(&mut self, id: Id, dead: Id) {

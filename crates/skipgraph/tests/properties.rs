@@ -23,7 +23,7 @@ proptest! {
         for &from in &ids {
             let res = net.search(from, key).unwrap();
             prop_assert!(res.is_success(), "from {} key {}", from, key);
-            prop_assert_eq!(res.path.last(), Some(&owner));
+            prop_assert_eq!(res.trace.path.last(), Some(&owner));
         }
     }
 
@@ -72,7 +72,7 @@ proptest! {
         let key = Id::new(u128::from(key));
         let from = ids[0];
         let res = net.search(from, key).unwrap();
-        for pair in res.path.windows(2) {
+        for pair in res.trace.path.windows(2) {
             prop_assert!(
                 space.clockwise_distance(pair[1], key)
                     < space.clockwise_distance(pair[0], key),

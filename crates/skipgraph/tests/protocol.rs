@@ -96,8 +96,8 @@ fn search_reaches_owner_from_everywhere() {
         let key = id(u128::from(rng.gen::<u16>()));
         let res = net.search(from, key).unwrap();
         assert!(res.is_success(), "from {from} key {key}");
-        assert_eq!(res.path.last(), Some(&net.true_owner(key).unwrap()));
-        assert_eq!(res.failed_probes, 0);
+        assert_eq!(res.trace.path.last(), Some(&net.true_owner(key).unwrap()));
+        assert_eq!(res.trace.timeouts, 0);
     }
 }
 
@@ -111,7 +111,7 @@ fn search_hops_are_logarithmic() {
         let key = id(u128::from(rng.gen::<u32>()));
         let res = net.search(from, key).unwrap();
         assert!(res.is_success());
-        max_hops = max_hops.max(res.hops);
+        max_hops = max_hops.max(res.trace.hops);
     }
     // O(log n) w.h.p.: log2(256) = 8; generous slack for the tail.
     assert!(max_hops <= 24, "max hops {max_hops}");
@@ -123,13 +123,13 @@ fn aux_neighbors_shorten_searches() {
     let from = ids[0];
     let far = *ids
         .iter()
-        .max_by_key(|&&t| net.search(from, t).unwrap().hops)
+        .max_by_key(|&&t| net.search(from, t).unwrap().trace.hops)
         .unwrap();
-    assert!(net.search(from, far).unwrap().hops >= 2);
+    assert!(net.search(from, far).unwrap().trace.hops >= 2);
     net.set_aux(from, &[far]).unwrap();
     let res = net.search(from, far).unwrap();
     assert!(res.is_success());
-    assert_eq!(res.hops, 1);
+    assert_eq!(res.trace.hops, 1);
 }
 
 #[test]
@@ -169,7 +169,7 @@ fn chord_selection_transfers_via_rank_space() {
         let total: f64 = weights.iter().map(|&(_, w)| w).sum();
         weights
             .iter()
-            .map(|&(nid, w)| w * f64::from(net.search(me, nid).unwrap().hops))
+            .map(|&(nid, w)| w * f64::from(net.search(me, nid).unwrap().trace.hops))
             .sum::<f64>()
             / total
     };
@@ -246,6 +246,6 @@ fn single_node_owns_everything() {
     for key in (0..256u128).step_by(37) {
         let res = net.search(id(99), id(key)).unwrap();
         assert!(res.is_success());
-        assert_eq!(res.hops, 0);
+        assert_eq!(res.trace.hops, 0);
     }
 }

@@ -1,11 +1,8 @@
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 
-use peercache_faults::{FaultPlan, LookupFailure, RouteTrace, StepScratch, Substrate, WalkStep};
+use peercache_faults::{arrive, FaultPlan, FaultedRoute, LookupFailure, NetworkError};
+use peercache_faults::{RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
-
-use crate::RouteResult;
 
 /// Configuration of a Tapestry deployment.
 #[derive(Copy, Clone, Debug)]
@@ -34,29 +31,6 @@ impl TapestryConfig {
         }
     }
 }
-
-/// Errors from membership operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetworkError {
-    /// The node id is already live.
-    AlreadyPresent(Id),
-    /// The node id is not live.
-    NotPresent(Id),
-    /// The id does not fit the configured id space.
-    OutOfSpace(Id),
-}
-
-impl fmt::Display for NetworkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetworkError::AlreadyPresent(id) => write!(f, "node {id} already in the overlay"),
-            NetworkError::NotPresent(id) => write!(f, "node {id} not in the overlay"),
-            NetworkError::OutOfSpace(id) => write!(f, "node {id} outside the id space"),
-        }
-    }
-}
-
-impl Error for NetworkError {}
 
 /// One Tapestry node: a digit-indexed routing table (no leaf set) plus
 /// auxiliary neighbors.
@@ -341,15 +315,17 @@ impl TapestryNetwork {
 
     /// Route a query for `key` from `from`: the repairing walk
     /// ([`Substrate::walk_repairing`]) over the one forwarding rule,
-    /// [`Substrate::step`]. Dead entries probed along the way are
-    /// forgotten (and counted as `failed_probes`) and the decision
-    /// re-runs without them.
+    /// [`Substrate::step`], under a transparent plan. Dead entries probed
+    /// along the way are forgotten (and counted as `trace.timeouts`) and
+    /// the decision re-runs without them.
     ///
     /// # Errors
     /// [`NetworkError::NotPresent`] when `from` is not live.
-    pub fn route(&mut self, from: Id, key: Id) -> Result<RouteResult, NetworkError> {
-        RouteResult::from_route(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
-            .ok_or(NetworkError::NotPresent(from))
+    pub fn route(&mut self, from: Id, key: Id) -> Result<FaultedRoute, NetworkError> {
+        if !self.is_live(from) {
+            return Err(NetworkError::NotPresent(from));
+        }
+        Ok(self.walk_repairing(from, key, &FaultPlan::transparent(0)))
     }
 
     /// The forwarding decision at `current`, read from its table in
@@ -431,15 +407,12 @@ impl Substrate for TapestryNetwork {
             .map_or(&[], |n| n.aux.as_slice())
     }
 
-    /// One Tapestry arrival, read from the node's table in place: decide
-    /// the next hop (maximal prefix progress, then the surrogate loop)
-    /// and probe it; a timed-out hop is excluded through
-    /// `trace.dead_probed` and the decision re-runs. Under a non-transparent
-    /// plan, the first timed-out **auxiliary-only** hop bans the
-    /// remaining auxiliary pointers at this node, falling back to core
-    /// routing state (`trace.fallbacks`). With no hop left, a node whose
-    /// every known entry is excluded is a dead end; otherwise it wrongly
-    /// claims to be the root.
+    /// One Tapestry arrival, read from the node's table in place: the
+    /// next hop (maximal prefix progress, then the surrogate loop) comes
+    /// from `next_hop`, the core test reads one cell, and [`arrive`]
+    /// probes the pick. With no hop left, a node whose every known entry
+    /// is excluded is a dead end; otherwise it wrongly claims to be the
+    /// root.
     fn step<'a>(
         &self,
         current: Id,
@@ -462,42 +435,26 @@ impl Substrate for TapestryNetwork {
                 Err(LookupFailure::WrongOwner(current))
             });
         };
-        let aux = plan.resolve_aux(
+        arrive(
+            self,
             self.config.space,
             current,
+            true_owner,
             aux_of(current),
-            &mut scratch.aux,
-        );
-        let mut aux_banned = false;
-        loop {
-            let extra: &[Id] = if aux_banned { &[] } else { aux };
-            let dead = &trace.dead_probed;
-            let Some(next) = self.next_hop(node, current, key, extra, dead) else {
-                let outcome = if current == true_owner {
-                    Ok(current)
-                } else if self.len() > 1
-                    && node
-                        .core()
-                        .chain(extra.iter().copied())
-                        .filter(|&w| w != current)
-                        .all(|w| dead.contains(&(current, w)))
-                {
-                    Err(LookupFailure::DeadEnd(current))
+            plan,
+            trace,
+            scratch,
+            |aux, dead| self.next_hop(node, current, key, aux, dead),
+            |w| self.is_core(node, current, w),
+            |aux, dead| {
+                let excluded = |w: Id| w == current || dead.contains(&(current, w));
+                if self.len() > 1 && node.core().chain(aux.iter().copied()).all(excluded) {
+                    LookupFailure::DeadEnd(current)
                 } else {
-                    Err(LookupFailure::WrongOwner(current))
-                };
-                return WalkStep::Done(outcome);
-            };
-            if plan.probe(current, next, trace.hops, self.is_live(next), trace) {
-                return WalkStep::Forward(next);
-            } else if !plan.is_transparent() && !aux_banned && !self.is_core(node, current, next) {
-                // Probe failure already excluded `next` via
-                // `trace.dead_probed`; it was a cached pointer, so ban the
-                // rest of the aux set here and fall back to core state.
-                aux_banned = true;
-                trace.fallbacks += 1;
-            }
-        }
+                    LookupFailure::WrongOwner(current)
+                }
+            },
+        )
     }
 
     fn forget_neighbor(&mut self, id: Id, dead: Id) {

@@ -2,7 +2,7 @@
 //! randomized memberships.
 
 use peercache_id::{Id, IdSpace};
-use peercache_tapestry::{RouteOutcome, TapestryConfig, TapestryNetwork};
+use peercache_tapestry::{TapestryConfig, TapestryNetwork};
 use proptest::prelude::*;
 
 fn memberships() -> impl Strategy<Value = (u8, Vec<u16>)> {
@@ -27,14 +27,12 @@ proptest! {
         let root = net.true_owner(key).unwrap();
         for &from in &ids {
             let res = net.route(from, key).unwrap();
-            prop_assert_eq!(
-                res.outcome.clone(),
-                RouteOutcome::Success,
+            prop_assert!(res.is_success(),
                 "from {} key {} ended at {:?} instead of root {}",
-                from, key, res.path.last(), root
+                from, key, res.trace.path.last(), root
             );
-            prop_assert_eq!(res.path.last(), Some(&root));
-            prop_assert!(res.hops <= net.config().hop_limit);
+            prop_assert_eq!(res.trace.path.last(), Some(&root));
+            prop_assert!(res.trace.hops <= net.config().hop_limit);
         }
     }
 
@@ -68,7 +66,7 @@ proptest! {
         for &from in ids.iter().take(8) {
             let res = net.route(from, key).unwrap();
             prop_assert!(res.is_success());
-            prop_assert_eq!(res.path.last(), Some(&root),
+            prop_assert_eq!(res.trace.path.last(), Some(&root),
                 "aux shortcuts must preserve the surrogate root");
         }
     }

@@ -4,7 +4,7 @@
 use peercache_core::pastry::select_greedy;
 use peercache_core::{Candidate, PastryProblem};
 use peercache_id::{Id, IdSpace};
-use peercache_tapestry::{RouteOutcome, TapestryConfig, TapestryNetwork};
+use peercache_tapestry::{TapestryConfig, TapestryNetwork};
 use peercache_workload::random_ids;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,13 +46,12 @@ fn root_is_start_independent() {
             let root = net.true_owner(key).unwrap();
             for &from in ids.iter().take(16) {
                 let res = net.route(from, key).unwrap();
-                assert_eq!(
-                    res.outcome,
-                    RouteOutcome::Success,
+                assert!(
+                    res.is_success(),
                     "d={d} from {from} key {key}: reached {:?}, root {root}",
-                    res.path.last()
+                    res.trace.path.last()
                 );
-                assert_eq!(res.path.last(), Some(&root));
+                assert_eq!(res.trace.path.last(), Some(&root));
             }
         }
     }
@@ -68,8 +67,8 @@ fn stable_hops_within_digit_bound() {
         let key = id(u128::from(rng.gen::<u32>()));
         let res = net.route(from, key).unwrap();
         assert!(res.is_success());
-        assert_eq!(res.failed_probes, 0);
-        max_hops = max_hops.max(res.hops);
+        assert_eq!(res.trace.timeouts, 0);
+        max_hops = max_hops.max(res.trace.hops);
     }
     assert!(max_hops <= 14, "max hops {max_hops} for 128 nodes");
 }
@@ -80,14 +79,14 @@ fn aux_neighbors_shorten_routes() {
     let from = ids[0];
     let far = *ids
         .iter()
-        .max_by_key(|&&t| net.route(from, t).unwrap().hops)
+        .max_by_key(|&&t| net.route(from, t).unwrap().trace.hops)
         .unwrap();
-    let before = net.route(from, far).unwrap().hops;
+    let before = net.route(from, far).unwrap().trace.hops;
     assert!(before >= 2);
     net.set_aux(from, &[far]).unwrap();
     let after = net.route(from, far).unwrap();
     assert!(after.is_success());
-    assert_eq!(after.hops, 1);
+    assert_eq!(after.trace.hops, 1);
 }
 
 #[test]
@@ -117,7 +116,7 @@ fn pastry_selection_transfers_to_tapestry() {
         for &(target, w) in &weights {
             let res = net.route(me, target).unwrap();
             assert!(res.is_success());
-            acc += w * f64::from(res.hops);
+            acc += w * f64::from(res.trace.hops);
         }
         let _ = rng;
         acc / total
@@ -176,7 +175,7 @@ fn single_node_owns_everything() {
     for key in (0..256u128).step_by(31) {
         let res = net.route(id(42), id(key)).unwrap();
         assert!(res.is_success());
-        assert_eq!(res.hops, 0);
+        assert_eq!(res.trace.hops, 0);
     }
 }
 

@@ -51,7 +51,7 @@ fn main() {
     for _ in 0..QUERIES / 4 {
         let key = domains.key(workload.sample_item(&mut rng));
         let res = net.lookup(resolver, key).unwrap();
-        counter.observe(*res.path.last().unwrap());
+        counter.observe(*res.trace.path.last().unwrap());
     }
     let core = net.node(resolver).unwrap().core_neighbors();
     let snapshot = counter
@@ -87,7 +87,7 @@ fn main() {
         for _ in 0..QUERIES {
             let item = workload.sample_item(rng);
             let res = net.lookup(resolver, domains.key(item)).unwrap();
-            hops += u64::from(res.hops);
+            hops += u64::from(res.trace.hops);
         }
         hops as f64 / QUERIES as f64
     };

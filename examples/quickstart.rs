@@ -40,8 +40,8 @@ fn main() {
         let key = catalog.key(workload.sample_item(&mut rng));
         let result = net.lookup(me, key).expect("we are live");
         assert!(result.is_success(), "stable rings never fail lookups");
-        hops_before += u64::from(result.hops);
-        counter.observe(*result.path.last().unwrap());
+        hops_before += u64::from(result.trace.hops);
+        counter.observe(*result.trace.path.last().unwrap());
     }
     println!(
         "observed {} distinct answering peers over {queries} queries",
@@ -76,7 +76,7 @@ fn main() {
     for _ in 0..queries {
         let key = catalog.key(workload.sample_item(&mut rng));
         let result = net.lookup(me, key).expect("we are live");
-        hops_after += u64::from(result.hops);
+        hops_after += u64::from(result.trace.hops);
     }
     let before = hops_before as f64 / f64::from(queries);
     let after = hops_after as f64 / f64::from(queries);

@@ -35,8 +35,8 @@ fn chord_workflow_improves_measured_hops() {
         let key = catalog.key(workload.sample_item(&mut rng));
         let res = net.lookup(me, key).unwrap();
         assert!(res.is_success());
-        hops_before += u64::from(res.hops);
-        let owner = *res.path.last().unwrap();
+        hops_before += u64::from(res.trace.hops);
+        let owner = *res.trace.path.last().unwrap();
         exact.observe(owner);
         sketch.observe(owner);
     }
@@ -70,7 +70,7 @@ fn chord_workflow_improves_measured_hops() {
     let mut hops_after = 0u64;
     for _ in 0..4_000 {
         let key = catalog.key(workload.sample_item(&mut rng2));
-        hops_after += u64::from(net.lookup(me, key).unwrap().hops);
+        hops_after += u64::from(net.lookup(me, key).unwrap().trace.hops);
     }
     assert!(
         hops_after < hops_before,
@@ -108,7 +108,7 @@ fn pastry_workflow_with_incremental_reoptimisation() {
     net.set_aux(me, &second.aux).unwrap();
     let res = net.route(me, hot).unwrap();
     assert!(res.is_success());
-    assert_eq!(res.hops, 1, "direct pointer");
+    assert_eq!(res.trace.hops, 1, "direct pointer");
 
     // The incremental state matches a from-scratch solve.
     let mut shifted = problem.clone();

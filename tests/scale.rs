@@ -77,7 +77,7 @@ fn ten_thousand_node_ring_routes_correctly() {
         let key = Id::new(u128::from(rng.gen::<u32>()));
         let res = net.lookup(from, key).unwrap();
         assert!(res.is_success());
-        max_hops = max_hops.max(res.hops);
+        max_hops = max_hops.max(res.trace.hops);
     }
     // log2(10_000) ≈ 13.3; allow generous slack.
     assert!(max_hops <= 26, "max hops {max_hops}");
