@@ -2,7 +2,7 @@
 //! `count-allocs` feature: the system allocator with atomic call and byte
 //! counters in front, so the perf baseline can report allocations per
 //! solve, hard-fail when a steady-state workspace kernel touches the heap
-//! at all, and gauge the peak live-heap footprint of the sharded
+//! at all, and gauge the peak live-heap footprint of the scale
 //! simulation (the bytes-per-node memory gauge).
 //!
 //! Two views, two contracts:

@@ -3,7 +3,7 @@
 //!
 //! The scale stage runs at 10⁵ nodes (default; 10⁶ via `--million`):
 //! the virtual-arena engine of [`run_scale_stable`], whose rows are
-//! bit-identical at any `--threads` and `--shards`.
+//! bit-identical at any `--threads`.
 //!
 //! Built with `--features count-allocs`, the run also reports the
 //! live-heap high-water mark divided by the population — the
@@ -20,8 +20,7 @@
 //!
 //! ```text
 //! fig3_scale [--quick] [--n N] [--million] [--seed N] [--threads T]
-//!            [--shards S] [--json PATH] [--max-bytes-per-node B]
-//!            [--churn]
+//!            [--json PATH] [--max-bytes-per-node B] [--churn]
 //! ```
 
 use peercache_bench::{teeln, Tee};
@@ -36,7 +35,6 @@ struct ScaleRow {
     n: usize,
     k: usize,
     alpha: f64,
-    shards: usize,
     avg_hops_aware: f64,
     avg_hops_oblivious: f64,
     avg_hops_core_only: f64,
@@ -74,7 +72,6 @@ struct Args {
     quick: bool,
     n: usize,
     seed: u64,
-    shards: Option<usize>,
     json: Option<String>,
     max_bytes_per_node: Option<u64>,
     churn: bool,
@@ -85,7 +82,6 @@ fn parse_args() -> Args {
         quick: false,
         n: 100_000,
         seed: 1,
-        shards: None,
         json: None,
         max_bytes_per_node: None,
         churn: false,
@@ -110,7 +106,6 @@ fn parse_args() -> Args {
             "--threads" => {
                 peercache_par::set_threads(positive(argv.next(), "--threads") as usize);
             }
-            "--shards" => args.shards = Some(positive(argv.next(), "--shards") as usize),
             "--json" => args.json = Some(argv.next().expect("--json takes a path")),
             "--max-bytes-per-node" => {
                 args.max_bytes_per_node = Some(positive(argv.next(), "--max-bytes-per-node"));
@@ -118,7 +113,7 @@ fn parse_args() -> Args {
             "--churn" => args.churn = true,
             other => panic!(
                 "unknown argument {other}; usage: [--quick] [--n N] [--million] \
-                 [--seed N] [--threads T] [--shards S] [--json PATH] \
+                 [--seed N] [--threads T] [--json PATH] \
                  [--max-bytes-per-node B] [--churn]"
             ),
         }
@@ -155,7 +150,6 @@ fn scale_row(
         n: config.nodes,
         k: config.k,
         alpha: config.alpha,
-        shards: config.shards,
         avg_hops_aware: aware.avg_hops(),
         avg_hops_oblivious: obl.avg_hops(),
         avg_hops_core_only: core.avg_hops(),
@@ -178,16 +172,12 @@ fn main() {
         args.quick
     );
 
-    let mut config = ScaleConfig::paper_defaults(args.n, args.seed);
-    if let Some(shards) = args.shards {
-        config.shards = shards;
-    }
+    let config = ScaleConfig::paper_defaults(args.n, args.seed);
     teeln!(
         tee,
-        "scale: virtual-arena pastry n={} k={} shards={} queries={}",
+        "scale: virtual-arena pastry n={} k={} queries={}",
         config.nodes,
         config.k,
-        config.shards,
         config.queries
     );
     gauge_reset();
@@ -228,7 +218,6 @@ fn main() {
     // not just the stable passes.
     let churn = args.churn.then(|| {
         let mut churn_config = ScaleChurnConfig::paper_defaults(args.n, args.seed);
-        churn_config.scale.shards = config.shards;
         if args.quick {
             churn_config.queries_per_round = 10_000;
         }

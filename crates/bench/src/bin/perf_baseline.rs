@@ -29,7 +29,7 @@
 //!
 //! The same build also fills the report's `memory` section: peak
 //! live-heap bytes-per-node gauges for the monolithic stable driver and
-//! the sharded scale engine (informational — the CI memory ceiling is
+//! the scale engine (informational — the CI memory ceiling is
 //! gated by `fig3_scale --max-bytes-per-node`, not here).
 //!
 //! ```text
@@ -649,7 +649,7 @@ fn e2e_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>) {
 }
 
 /// The bytes-per-node memory gauges: peak live-heap of the monolithic
-/// stable driver against the sharded scale engine at a population the
+/// stable driver against the scale engine at a population the
 /// materialised path could never hold per-node state for. Query counts
 /// are trimmed — the peak is set by topology and slabs, not routing.
 #[cfg(feature = "count-allocs")]

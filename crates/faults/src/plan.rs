@@ -1,6 +1,6 @@
 //! The fault configuration and its resolved, integer-only plan.
 
-use peercache_id::{Id, IdSpace};
+use peercache_id::{splitmix64, Id, IdSpace};
 
 use crate::trace::RouteTrace;
 
@@ -22,14 +22,6 @@ const CH_LOSS: u64 = 0x94d0_49bb_1331_11eb;
 const CH_STALE: u64 = 0x2545_f491_4f6c_dd1d;
 const CH_AGE: u64 = 0xd6e8_feb8_6659_fd93;
 const CH_DELAY: u64 = 0xa076_1d64_78bd_642f;
-
-/// The SplitMix64 finalizer: a strong 64-bit mixing step.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Fold a 128-bit identifier into the 64-bit hash domain.
 fn fold(id: Id) -> u64 {
@@ -155,10 +147,10 @@ impl FaultPlan {
     /// One hash decision stream: seed and channel select the stream,
     /// `(a, b, c)` select the draw.
     fn mix(&self, channel: u64, a: u64, b: u64, c: u64) -> u64 {
-        let mut z = splitmix(self.seed ^ channel);
-        z = splitmix(z ^ a);
-        z = splitmix(z ^ b);
-        splitmix(z ^ c)
+        let mut z = splitmix64(self.seed ^ channel);
+        z = splitmix64(z ^ a);
+        z = splitmix64(z ^ b);
+        splitmix64(z ^ c)
     }
 
     /// Bernoulli draw: top 53 hash bits against the channel threshold.

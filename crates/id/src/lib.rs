@@ -7,6 +7,8 @@
 //! * [`Id`] — an opaque identifier value,
 //! * [`IdSpace`] — the ring of `b`-bit identifiers with modular ("clockwise")
 //!   arithmetic, interval tests, and prefix/digit decomposition,
+//! * [`splitmix64`] — the one 64-bit hash finalizer the deterministic
+//!   layers derive their id-keyed decisions from,
 //! * the id-derived **hop-distance estimates** the selection algorithms are
 //!   built on:
 //!   * [`IdSpace::pastry_hops`] — `⌈(b − l)/d⌉` where `l` is the longest
@@ -34,3 +36,15 @@ pub use space::IdSpace;
 
 /// The identifier width used throughout the paper's experiments.
 pub const PAPER_ID_BITS: u8 = 32;
+
+/// The SplitMix64 finalizer: a cheap, strong 64-bit mixing step. The
+/// fault plan's decision hash, Pastry's routing-table fill (materialised
+/// and virtual) and the scale tier's per-node seeds all mix through this
+/// one definition, so their bits cannot drift apart.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -273,7 +273,7 @@ impl Rule {
                 "L12 — RNG draw balance: every function in the deterministic crates \
                  that takes an `&mut` RNG parameter must consume the same number of \
                  draw calls on every branch.\n\nEvery bit-identity guarantee in this \
-                 reproduction — replayable fault walks, shard/thread-count parity, \
+                 reproduction — replayable fault walks, thread-count parity, \
                  the fig3 goldens — rests on the RNG stream advancing identically \
                  across refactors (§VI replay methodology). A draw moved into one \
                  `match` arm silently shifts every subsequent decision in the run. \

@@ -47,7 +47,6 @@ mod pool;
 mod seed;
 
 pub use pool::{
-    par_map, par_map_chunked, par_map_mut, par_map_with, set_threads, shard_bounds, threads,
-    with_threads,
+    par_map, par_map_chunked, par_map_mut, par_map_with, set_threads, threads, with_threads,
 };
 pub use seed::derive_seed;

@@ -110,25 +110,10 @@ where
     out
 }
 
-/// The deterministic shard partition used by the sharded simulation
-/// engine: `shards` contiguous, maximally balanced `[start, end)` ranges
-/// over `0..len`, in shard order. Shard `s` owns
-/// `[⌊s·len/S⌋, ⌊(s+1)·len/S⌋)`, so the partition is a pure function of
-/// `(len, shards)` — never of the thread count — and every consumer
-/// (selection fan-outs, arena layouts, bench gauges) slices identically.
-///
-/// `shards` is clamped to at least 1; shards beyond `len` come out empty.
-pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
-    let shards = shards.max(1);
-    (0..shards)
-        .map(|s| (s * len / shards, (s + 1) * len / shards))
-        .collect()
-}
-
 /// Map `f` over mutable items on the pool, preserving input order in the
-/// returned vector — the fan-out behind per-shard arenas, where each task
-/// owns one shard's mutable state (counters, optimizers, slabs) for its
-/// whole run.
+/// returned vector — the fan-out behind the scale engine's slab fills,
+/// where each task owns one disjoint view of a shared slab for its whole
+/// run.
 ///
 /// The determinism contract is the same as [`par_map`]'s: each item is
 /// visited exactly once, by exactly one worker, and the result vector is

@@ -155,27 +155,6 @@ fn with_threads_restores_on_panic() {
 }
 
 #[test]
-fn shard_bounds_partition_exactly() {
-    for len in [0usize, 1, 7, 64, 1000, 100_003] {
-        for shards in [1usize, 2, 4, 16, 63] {
-            let bounds = peercache_par::shard_bounds(len, shards);
-            assert_eq!(bounds.len(), shards);
-            assert_eq!(bounds[0].0, 0);
-            assert_eq!(bounds[shards - 1].1, len);
-            for w in bounds.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "contiguous");
-            }
-            // Maximally balanced: sizes differ by at most one.
-            let sizes: Vec<usize> = bounds.iter().map(|&(a, b)| b - a).collect();
-            let (min, max) = (sizes.iter().min(), sizes.iter().max());
-            assert!(max.unwrap() - min.unwrap() <= 1);
-        }
-    }
-    // Clamped: zero shards behaves as one.
-    assert_eq!(peercache_par::shard_bounds(5, 0), vec![(0, 5)]);
-}
-
-#[test]
 fn par_map_mut_visits_each_item_once_in_order() {
     for threads in [1usize, 4] {
         with_threads(threads, || {

@@ -27,18 +27,9 @@
 //! across threads and bit-identical at any thread count.
 
 use peercache_faults::{FaultPlan, RouteTrace, StepScratch, Substrate, WalkStep};
-use peercache_id::Id;
+use peercache_id::{splitmix64, Id};
 
 use crate::{rule, PastryConfig};
-
-/// SplitMix64 finalizer — the same mixer the materialised network uses
-/// for its encounter scores.
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Fold a 128-bit id into a 64-bit hash input.
 // Truncating casts are the point of the fold.
@@ -202,7 +193,7 @@ impl PastryArena {
             return None;
         }
         let span = hi_i - lo_i;
-        let h = mix64(fold(owner) ^ ((u64::from(l) << 16) | u64::from(c)));
+        let h = splitmix64(fold(owner) ^ ((u64::from(l) << 16) | u64::from(c)));
         self.ids.get(lo_i + (h as usize) % span).copied()
     }
 
@@ -211,8 +202,8 @@ impl PastryArena {
     /// RNG; the arena cannot afford n stored pairs to be faithful to the
     /// draw order, so it substitutes an id-determined point).
     pub fn coord(&self, id: Id) -> (f64, f64) {
-        let hx = mix64(fold(id) ^ 0x517C_C1B7_2722_0A95);
-        let hy = mix64(hx ^ 0x2545_F491_4F6C_DD1D);
+        let hx = splitmix64(fold(id) ^ 0x517C_C1B7_2722_0A95);
+        let hy = splitmix64(hx ^ 0x2545_F491_4F6C_DD1D);
         (unit_f64(hx), unit_f64(hy))
     }
 

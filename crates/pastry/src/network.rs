@@ -2,7 +2,7 @@ use std::collections::BTreeMap;
 
 use peercache_faults::{FaultPlan, FaultedRoute, NetworkError, RouteTrace, StepScratch};
 use peercache_faults::{Substrate, WalkStep};
-use peercache_id::{Id, IdSpace};
+use peercache_id::{splitmix64, Id, IdSpace};
 use rand::Rng;
 
 use crate::node::PastryNode;
@@ -76,14 +76,11 @@ impl PastryConfig {
 // Truncating casts fold the 128-bit ids into a 64-bit hash input.
 #[allow(clippy::cast_possible_truncation)]
 fn encounter_score(owner: Id, entry: Id) -> u64 {
-    let mixed = (owner.value() ^ entry.value().rotate_left(64)) as u64
-        ^ (entry.value() >> 64) as u64
-        ^ entry.value() as u64;
-    // SplitMix64 finalizer.
-    let mut z = mixed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(
+        (owner.value() ^ entry.value().rotate_left(64)) as u64
+            ^ (entry.value() >> 64) as u64
+            ^ entry.value() as u64,
+    )
 }
 
 /// The whole simulated Pastry overlay.

@@ -13,9 +13,10 @@
 //! * [`stable`] — the stable-mode driver (§VI: exact node popularities,
 //!   no churn).
 //! * [`scale`] — the virtual-arena engine for populations (10⁵–10⁶)
-//!   the materialised substrates cannot hold: per-shard fixed-stride
-//!   auxiliary slabs and streaming accumulators over the same Pastry
-//!   routing step (bit-identical at any shard and thread count).
+//!   the materialised substrates cannot hold: one rank-indexed
+//!   fixed-stride auxiliary slab per strategy and streaming accumulators
+//!   over the same Pastry routing step (bit-identical at any thread
+//!   count).
 //! * [`churn`] — the churn-mode driver (§VI-C: exponential alive/dead
 //!   periods, periodic stabilization and auxiliary recomputation, paired
 //!   schedules across strategies).
@@ -52,8 +53,8 @@ pub use metrics::{reduction_pct, FaultMetrics, QueryMetrics};
 pub use overlay::{OverlayKind, QueryOutcome, SimOverlay};
 pub use refresh::ChurnRecomputeBench;
 pub use scale::{
-    run_scale_churn, run_scale_stable, shard_count_for, ScaleChurnConfig, ScaleChurnReport,
-    ScaleChurnRound, ScaleConfig, ScaleReport,
+    run_scale_churn, run_scale_stable, ScaleChurnConfig, ScaleChurnReport, ScaleChurnRound,
+    ScaleConfig, ScaleReport,
 };
 pub use stable::{
     run_stable, run_stable_faulted, QueryStream, RankingMode, SelectionBench, StableConfig,

@@ -19,21 +19,24 @@
 //! equivalent to the materialised "first encountered" fill, not
 //! bit-identical), and the oblivious baseline draws from per-node
 //! seeded streams instead of one serial stream (statistically
-//! equivalent; a serial stream would forbid the per-shard fan-out).
+//! equivalent; a serial stream would forbid the parallel fill).
 //! Within the engine everything is a pure function of the config:
-//! results are bit-identical at any shard and thread count, which the
-//! scale tests and the CI gate pin down.
+//! results are bit-identical at any thread count, which the scale tests
+//! and the CI gate pin down.
 //!
-//! Memory discipline: selections live in per-shard fixed-stride slabs,
-//! measurement streams into one [`QueryMetrics`] per query chunk, and per-node
-//! state never outlives its shard task — the bytes-per-node gauge in
-//! `fig3_scale` holds the whole engine to a committed ceiling.
+//! Memory discipline: selections live in one rank-indexed fixed-stride
+//! slab per strategy, measurement streams into one [`QueryMetrics`] per
+//! query chunk, and per-node solver state never outlives its rank-chunk
+//! task — the bytes-per-node gauge in `fig3_scale` holds the whole
+//! engine to a committed ceiling.
+
+use std::ops::Range;
 
 use peercache_core::pastry::PastryWorkspace;
 use peercache_core::{Candidate, PastryProblem};
-use peercache_faults::{walk, FaultPlan, FaultedRoute};
+use peercache_faults::{walk, FaultPlan};
 use peercache_freq::FrequencySnapshot;
-use peercache_id::{Id, IdSpace};
+use peercache_id::{splitmix64, Id, IdSpace};
 use peercache_pastry::{PastryArena, PastryConfig, RoutingMode};
 use peercache_workload::{random_ids, ItemCatalog, NodeWorkload, Ranking, Zipf};
 use rand::rngs::StdRng;
@@ -50,52 +53,18 @@ use crate::refresh::CounterSlab;
 /// sums, so the merged metrics are bit-identical at any thread count.
 const QUERY_CHUNK: usize = 4096;
 
-/// The deterministic shard count for a population of `nodes`: one shard
-/// per 8192 nodes, clamped to `[1, 64]`. A pure function of the config —
-/// the thread count never feeds in — so two runs of the same config
-/// shard identically regardless of the host.
-pub fn shard_count_for(nodes: usize) -> usize {
-    nodes.div_ceil(8192).clamp(1, 64)
-}
+/// Ranks per selection or refresh task: each task writes one
+/// `RANK_CHUNK`-rank view of the slabs. Chunking is by fixed size, like
+/// `QUERY_CHUNK`, and each rank's set is a pure function of that rank's
+/// own inputs, so the slabs are bit-identical at any thread count. 256
+/// keeps the views' own memory under half a byte per node while the
+/// tests' 384- and 512-node populations still span two chunks.
+const RANK_CHUNK: usize = 256;
 
-/// The contiguous shard partition of the rank space `0..n` (delegating
-/// to [`peercache_par::shard_bounds`] so every consumer slices
-/// identically).
-struct ShardLayout {
-    bounds: Vec<(usize, usize)>,
-}
-
-impl ShardLayout {
-    /// Partition `len` slots into `shards` balanced contiguous ranges.
-    fn new(len: usize, shards: usize) -> Self {
-        ShardLayout {
-            bounds: peercache_par::shard_bounds(len, shards),
-        }
-    }
-
-    /// Number of shards (≥ 1; trailing shards may be empty).
-    fn shards(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// The `[start, end)` slot range of shard `s`.
-    fn bounds(&self, s: usize) -> (usize, usize) {
-        self.bounds[s]
-    }
-
-    /// The shard owning global slot `slot` (slots past the end map to
-    /// the last shard; callers only pass in-range slots).
-    fn shard_of(&self, slot: usize) -> usize {
-        self.bounds
-            .partition_point(|&(_, end)| end <= slot)
-            .min(self.bounds.len() - 1)
-    }
-}
-
-/// A flat fixed-stride auxiliary slab: shard-local slot `i`'s set lives
-/// at `ids[i·stride .. i·stride + lens[i]]`. One allocation per shard
-/// per strategy, reused across refreshes — refreshing a node's set
-/// writes in place instead of reallocating a `Vec<Id>`.
+/// A flat fixed-stride auxiliary slab indexed by arena rank: rank `r`'s
+/// set lives at `ids[r·stride .. r·stride + lens[r]]`. One allocation per
+/// strategy, reused across refreshes — refreshing a node's set writes in
+/// place instead of reallocating a `Vec<Id>`.
 struct AuxSlab {
     stride: usize,
     lens: Vec<usize>,
@@ -111,27 +80,53 @@ impl AuxSlab {
         }
     }
 
-    fn set(&mut self, local: usize, set: &[Id]) {
+    fn get(&self, rank: usize) -> &[Id] {
+        let base = rank * self.stride;
+        &self.ids[base..base + self.lens[rank]]
+    }
+
+    /// Empty rank `rank`'s set.
+    fn clear(&mut self, rank: usize) {
+        self.lens[rank] = 0;
+    }
+
+    /// The slab as consecutive `RANK_CHUNK`-rank views in rank order,
+    /// each writable by one task.
+    fn chunks_mut(&mut self) -> impl Iterator<Item = SlabChunk<'_>> {
+        let stride = self.stride;
+        self.lens
+            .chunks_mut(RANK_CHUNK)
+            .zip(self.ids.chunks_mut(RANK_CHUNK * stride))
+            .enumerate()
+            .map(move |(c, (lens, ids))| SlabChunk {
+                start: c * RANK_CHUNK,
+                stride,
+                lens,
+                ids,
+            })
+    }
+}
+
+/// Up to `RANK_CHUNK` consecutive ranks of an [`AuxSlab`], from `start`.
+struct SlabChunk<'a> {
+    start: usize,
+    stride: usize,
+    lens: &'a mut [usize],
+    ids: &'a mut [Id],
+}
+
+impl SlabChunk<'_> {
+    fn ranks(&self) -> Range<usize> {
+        self.start..self.start + self.lens.len()
+    }
+
+    fn set(&mut self, rank: usize, set: &[Id]) {
         debug_assert!(set.len() <= self.stride, "aux sets are bounded by k");
+        let local = rank - self.start;
         let base = local * self.stride;
         self.ids[base..base + set.len()].copy_from_slice(set);
         self.lens[local] = set.len();
     }
-
-    fn get(&self, local: usize) -> &[Id] {
-        let base = local * self.stride;
-        &self.ids[base..base + self.lens[local]]
-    }
-}
-
-/// Record one walk: the arena is immutable and every member live, so a
-/// transparent plan never times out and no origin is ever down.
-fn record(acc: &mut QueryMetrics, route: &FaultedRoute) {
-    acc.record(
-        route.outcome.is_ok(),
-        route.trace.hops,
-        route.trace.timeouts,
-    );
 }
 
 /// Configuration of one scale run (Pastry substrate only — fig3's).
@@ -155,8 +150,6 @@ pub struct ScaleConfig {
     pub queries: usize,
     /// Master seed.
     pub seed: u64,
-    /// Shard count (defaults to [`shard_count_for`]).
-    pub shards: usize,
 }
 
 impl ScaleConfig {
@@ -174,7 +167,6 @@ impl ScaleConfig {
             k: crate::experiments::log2(nodes),
             queries: 50_000,
             seed,
-            shards: shard_count_for(nodes),
         }
     }
 }
@@ -193,21 +185,102 @@ pub struct ScaleReport {
     pub reduction_pct: f64,
 }
 
-/// SplitMix64 — the per-node seed derivation for the oblivious draws
-/// (same mixer as the arena's hash picks).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// What both scale drivers build first from a config: the arena over
+/// the topology stream's ids, the item catalog drawn after them, the
+/// one identity-ranked workload every node shares (fig3's identical
+/// rankings), each item's owner rank, and the transparent plan every
+/// walk runs under.
+struct World {
+    arena: PastryArena,
+    catalog: ItemCatalog,
+    workload: NodeWorkload,
+    owner_ranks: Vec<usize>,
+    plan: FaultPlan,
 }
 
-/// One shard's selection slabs (aware + oblivious), owned exclusively
-/// by its build task and shared read-only during measurement.
-struct ShardSlabs {
-    start: usize,
-    aware: AuxSlab,
-    oblivious: AuxSlab,
+impl World {
+    fn build(config: &ScaleConfig) -> Self {
+        let space = IdSpace::new(config.bits).expect("valid id width");
+        let mut rng_topology = StdRng::seed_from_u64(config.seed);
+        let node_ids = random_ids(space, config.nodes, &mut rng_topology);
+        let catalog = ItemCatalog::random(space, config.items, &mut rng_topology);
+        let arena = PastryArena::new(
+            PastryConfig::new(space, config.digit_bits).with_mode(config.mode),
+            node_ids,
+        );
+        let zipf = Zipf::new(config.items, config.alpha).expect("valid Zipf");
+        let workload = NodeWorkload::new(zipf, Ranking::identity(config.items));
+        let owner_ranks = (0..config.items)
+            .map(|i| {
+                let owner = arena.true_owner(catalog.key(i)).expect("non-empty arena");
+                arena.rank_of(owner).expect("owners are members")
+            })
+            .collect();
+        World {
+            arena,
+            catalog,
+            workload,
+            owner_ranks,
+            plan: FaultPlan::transparent(config.seed),
+        }
+    }
+
+    /// Route one query from the member at rank `origin` to `item`'s key,
+    /// reading each hop's auxiliary set from `aux` (`None`: the core-only
+    /// pass), and record it into `acc`. The arena is immutable and every
+    /// member live, so the transparent plan never times out and no
+    /// origin is ever down.
+    fn route(&self, origin: usize, item: usize, aux: Option<&AuxSlab>, acc: &mut QueryMetrics) {
+        const NO_AUX: &[Id] = &[];
+        let aux_of = |id| match aux {
+            Some(slab) => self.arena.rank_of(id).map_or(NO_AUX, |rank| slab.get(rank)),
+            None => NO_AUX,
+        };
+        let route = walk(
+            &self.arena,
+            self.arena.ids()[origin],
+            self.catalog.key(item),
+            aux_of,
+            &self.plan,
+        );
+        acc.record(
+            route.outcome.is_ok(),
+            route.trace.hops,
+            route.trace.timeouts,
+        );
+    }
+}
+
+/// The optimal aware set of the member at `rank`, whose core set is
+/// `core`, over the peers in `weights` other than itself and its core,
+/// solved in `workspace`.
+fn solve_aware<'w>(
+    workspace: &'w mut PastryWorkspace,
+    arena: &PastryArena,
+    k: usize,
+    rank: usize,
+    core: &[Id],
+    weights: impl Iterator<Item = (Id, f64)>,
+) -> &'w [Id] {
+    let node = arena.ids()[rank];
+    let candidates: Vec<Candidate> = weights
+        .filter(|&(id, _)| id != node && core.binary_search(&id).is_err())
+        .map(|(id, w)| Candidate::new(id, w))
+        .collect();
+    let config = arena.config();
+    let problem = PastryProblem::new(
+        config.space,
+        config.digit_bits,
+        node,
+        core.to_vec(),
+        candidates,
+        k,
+    )
+    .expect("scale problems are well-formed");
+    &workspace
+        .solve_into(&problem)
+        .expect("scale problems are well-formed")
+        .aux
 }
 
 /// The `[lo, hi)` index range of arena members whose top `p` bits equal
@@ -263,7 +336,7 @@ impl Slice {
 /// round-robin), drawing *distinct* members of each contiguous prefix
 /// range by indexed sampling instead of materialising the Θ(n) pool —
 /// O(k + b + |core|) per node. Per-node seeded, so the draw is a pure
-/// function of `(seed, rank)` and independent of shard/thread count.
+/// function of `(seed, rank)` and independent of the thread count.
 ///
 /// [`baseline::pastry_oblivious`]: peercache_core::baseline::pastry_oblivious
 fn oblivious_at_scale(
@@ -287,7 +360,7 @@ fn oblivious_at_scale(
     let d = u32::from(config.digit_bits);
     // fold(rank) into the run seed: `rank` is an array index, far below
     // 2^53, so the u64 conversion is exact.
-    let mut rng = StdRng::seed_from_u64(mix64(
+    let mut rng = StdRng::seed_from_u64(splitmix64(
         seed.wrapping_add(3) ^ u64::try_from(rank).unwrap_or(u64::MAX),
     ));
 
@@ -400,71 +473,39 @@ fn draw_from_slice<R: Rng + ?Sized>(
 /// experiment definitions, not runtime inputs.
 pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
     assert!(config.nodes > 0 && config.items > 0);
-    let space = IdSpace::new(config.bits).expect("valid id width");
-    let mut rng_topology = StdRng::seed_from_u64(config.seed);
-
-    let node_ids = random_ids(space, config.nodes, &mut rng_topology);
-    let catalog = ItemCatalog::random(space, config.items, &mut rng_topology);
-    let arena = PastryArena::new(
-        PastryConfig::new(space, config.digit_bits).with_mode(config.mode),
-        node_ids,
-    );
+    let world = World::build(config);
+    let arena = &world.arena;
     let n = arena.len();
 
-    // Identical rankings (fig3): ONE shared workload instead of n
-    // copies, and one exact owner-popularity snapshot for every node.
-    let zipf = Zipf::new(config.items, config.alpha).expect("valid Zipf");
-    let workload = NodeWorkload::new(zipf, Ranking::identity(config.items));
-    let owners: Vec<Id> = (0..config.items)
-        .map(|i| arena.true_owner(catalog.key(i)).expect("non-empty arena"))
-        .collect();
-    let weights = FrequencySnapshot::from_pairs(workload.node_weights(config.items, |i| owners[i]));
+    // Identical rankings (fig3): one exact owner-popularity snapshot for
+    // every node.
+    let weights = FrequencySnapshot::from_pairs(
+        world
+            .workload
+            .node_weights(config.items, |i| arena.ids()[world.owner_ranks[i]]),
+    );
 
-    // Both strategies' selections, fanned out one task per shard, each
-    // writing its own slabs — no cross-shard state, no per-node vectors
-    // retained past the solve.
-    let layout = ShardLayout::new(n, config.shards);
+    // Both strategies' selections, one task per rank chunk, each writing
+    // its own views of the two slabs — no per-node vectors retained past
+    // the solve.
     let stride = config.k.max(1);
-    let mut shards: Vec<ShardSlabs> = (0..layout.shards())
-        .map(|s| {
-            let (start, end) = layout.bounds(s);
-            ShardSlabs {
-                start,
-                aware: AuxSlab::new(stride, end - start),
-                oblivious: AuxSlab::new(stride, end - start),
-            }
-        })
+    let mut aware_slab = AuxSlab::new(stride, n);
+    let mut oblivious_slab = AuxSlab::new(stride, n);
+    let mut chunks: Vec<_> = aware_slab
+        .chunks_mut()
+        .zip(oblivious_slab.chunks_mut())
         .collect();
-    peercache_par::par_map_mut(&mut shards, |s, shard| {
-        let (start, end) = layout.bounds(s);
+    peercache_par::par_map_mut(&mut chunks, |_, (aware, oblivious)| {
         let mut workspace = PastryWorkspace::new();
         let mut core = Vec::new();
         let mut slices_buf = Vec::new();
         let mut draw = Vec::new();
-        for rank in start..end {
-            let node = arena.ids()[rank];
+        for rank in aware.ranks() {
             arena.core_neighbors_into(rank, &mut core);
-            let candidates: Vec<Candidate> = weights
-                .without(core.iter().copied().chain(std::iter::once(node)))
-                .iter()
-                .map(|(id, w)| Candidate::new(id, w))
-                .collect();
-            let problem = PastryProblem::new(
-                space,
-                config.digit_bits,
-                node,
-                core.clone(),
-                candidates,
-                config.k,
-            )
-            .expect("scale problems are well-formed");
-            let aware = &workspace
-                .solve_into(&problem)
-                .expect("scale problems are well-formed")
-                .aux;
-            shard.aware.set(rank - start, aware);
+            let set = solve_aware(&mut workspace, arena, config.k, rank, &core, weights.iter());
+            aware.set(rank, set);
             oblivious_at_scale(
-                &arena,
+                arena,
                 rank,
                 &core,
                 config.k,
@@ -472,7 +513,7 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
                 &mut slices_buf,
                 &mut draw,
             );
-            shard.oblivious.set(rank - start, &draw);
+            oblivious.set(rank, &draw);
         }
     });
 
@@ -483,46 +524,15 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
         .map(|_| {
             (
                 rng_queries.gen_range(0..n),
-                workload.sample_item(&mut rng_queries),
+                world.workload.sample_item(&mut rng_queries),
             )
         })
         .collect();
-
-    // Cross-shard pointer resolution: arena rank (the flat global
-    // index) → owning shard → slab slice. A plain fn so the returned
-    // slice borrows from the slab storage, not the routing closure.
-    fn resolve<'a>(
-        arena: &PastryArena,
-        layout: &ShardLayout,
-        shards: &'a [ShardSlabs],
-        slab: fn(&ShardSlabs) -> &AuxSlab,
-        id: Id,
-    ) -> &'a [Id] {
-        const NO_AUX: &[Id] = &[];
-        let Some(rank) = arena.rank_of(id) else {
-            return NO_AUX;
-        };
-        let shard = &shards[layout.shard_of(rank)];
-        slab(shard).get(rank - shard.start)
-    }
-
-    let plan = FaultPlan::transparent(config.seed);
-    let measure = |select: Option<fn(&ShardSlabs) -> &AuxSlab>| -> QueryMetrics {
-        let aux_of = |id| match select {
-            Some(slab) => resolve(&arena, &layout, &shards, slab, id),
-            None => &[],
-        };
+    let measure = |aux: Option<&AuxSlab>| -> QueryMetrics {
         let accs = peercache_par::par_map_chunked(&queries, QUERY_CHUNK, |_, chunk| {
             let mut acc = QueryMetrics::default();
             for &(origin, item) in chunk {
-                let route = walk(
-                    &arena,
-                    arena.ids()[origin],
-                    catalog.key(item),
-                    aux_of,
-                    &plan,
-                );
-                record(&mut acc, &route);
+                world.route(origin, item, aux, &mut acc);
             }
             vec![acc]
         });
@@ -534,8 +544,8 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
     };
 
     let core_only = measure(None);
-    let aware = measure(Some(|s: &ShardSlabs| &s.aware));
-    let oblivious = measure(Some(|s: &ShardSlabs| &s.oblivious));
+    let aware = measure(Some(&aware_slab));
+    let oblivious = measure(Some(&oblivious_slab));
     let reduction = reduction_pct(aware.avg_hops(), oblivious.avg_hops());
     ScaleReport {
         aware,
@@ -550,7 +560,7 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
 /// populations the materialised driver cannot hold.
 #[derive(Clone, Debug)]
 pub struct ScaleChurnConfig {
-    /// The underlying scale parameters (population, `k`, α, shards…).
+    /// The underlying scale parameters (population, `k`, α…).
     /// `scale.queries` is ignored — the churn probe routes
     /// [`queries_per_round`](Self::queries_per_round) per round.
     pub scale: ScaleConfig,
@@ -630,8 +640,8 @@ fn walk_alive(alive: &[bool], rank: usize) -> usize {
 /// Everything is a pure function of the config: routing is read-only
 /// fan-out, observations apply serially in stream order, and each dirty
 /// node's re-solve depends only on its own counters — so the report is
-/// bit-identical at any shard and thread count, which the invariance
-/// test below and the CI scale job pin down.
+/// bit-identical at any thread count, which the invariance test below
+/// and the CI scale job pin down.
 ///
 /// # Panics
 /// Panics on nonsensical configurations (zero nodes/items/rounds) —
@@ -639,54 +649,24 @@ fn walk_alive(alive: &[bool], rank: usize) -> usize {
 pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
     let sc = &config.scale;
     assert!(sc.nodes > 1 && sc.items > 0 && config.rounds > 0);
-    let space = IdSpace::new(sc.bits).expect("valid id width");
-    let mut rng_topology = StdRng::seed_from_u64(sc.seed);
-
-    let node_ids = random_ids(space, sc.nodes, &mut rng_topology);
-    let catalog = ItemCatalog::random(space, sc.items, &mut rng_topology);
-    let arena = PastryArena::new(
-        PastryConfig::new(space, sc.digit_bits).with_mode(sc.mode),
-        node_ids,
-    );
+    let world = World::build(sc);
+    let arena = &world.arena;
     let n = arena.len();
 
-    let zipf = Zipf::new(sc.items, sc.alpha).expect("valid Zipf");
-    let workload = NodeWorkload::new(zipf, Ranking::identity(sc.items));
-    let owner_ranks: Vec<usize> = (0..sc.items)
-        .map(|i| {
-            let owner = arena.true_owner(catalog.key(i)).expect("non-empty arena");
-            arena.rank_of(owner).expect("owners are members")
-        })
-        .collect();
-
     // Fixed per-node churn state: flags, bounded counters, and one
-    // aware slab per shard — no oblivious pass and no retained
-    // optimizers at this tier.
-    let layout = ShardLayout::new(n, sc.shards);
+    // aware slab — no oblivious pass and no retained optimizers at this
+    // tier.
     let stride = sc.k.max(1);
     let mut alive = vec![true; n];
     let mut alive_count = n;
     let mut dirty = vec![false; n];
     let mut counters = CounterSlab::new(config.counter_stride, n);
-    struct ChurnShard {
-        start: usize,
-        aware: AuxSlab,
-    }
-    let mut shards: Vec<ChurnShard> = (0..layout.shards())
-        .map(|s| {
-            let (start, end) = layout.bounds(s);
-            ChurnShard {
-                start,
-                aware: AuxSlab::new(stride, end - start),
-            }
-        })
-        .collect();
+    let mut aware = AuxSlab::new(stride, n);
     let state_bytes = counters.footprint_bytes()
         + n * stride * std::mem::size_of::<Id>()
         + n * std::mem::size_of::<usize>()
         + 2 * n;
 
-    let plan = FaultPlan::transparent(sc.seed);
     let mut rng_churn = StdRng::seed_from_u64(sc.seed.wrapping_add(5));
     let mut rng_queries = StdRng::seed_from_u64(sc.seed.wrapping_add(2));
     let mut rounds_out = Vec::with_capacity(config.rounds);
@@ -707,9 +687,7 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
                 alive[rank] = false;
                 alive_count -= 1;
                 dirty[rank] = false;
-                let shard = &mut shards[layout.shard_of(rank)];
-                let start = shard.start;
-                shard.aware.set(rank - start, &[]);
+                aware.clear(rank);
             } else {
                 alive[rank] = true;
                 alive_count += 1;
@@ -721,36 +699,21 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
         // 2. One round's query stream: alive origins (a dead draw walks
         //    to its alive successor — one RNG draw either way, so the
         //    stream is independent of the flip history's shape), routed
-        //    chunk-parallel over read-only slabs. Each chunk returns
+        //    chunk-parallel over the read-only slab. Each chunk returns
         //    its accumulator plus the `(origin, observed owner)` pairs;
         //    chunks come back in stream order.
         let queries: Vec<(usize, usize)> = (0..config.queries_per_round)
             .map(|_| {
                 let origin = walk_alive(&alive, rng_queries.gen_range(0..n));
-                (origin, workload.sample_item(&mut rng_queries))
+                (origin, world.workload.sample_item(&mut rng_queries))
             })
             .collect();
-        let resolve = |id: Id| -> &[Id] {
-            const NO_AUX: &[Id] = &[];
-            let Some(rank) = arena.rank_of(id) else {
-                return NO_AUX;
-            };
-            let shard = &shards[layout.shard_of(rank)];
-            shard.aware.get(rank - shard.start)
-        };
         let chunk_results = peercache_par::par_map_chunked(&queries, QUERY_CHUNK, |_, chunk| {
             let mut acc = QueryMetrics::default();
             let mut observations = Vec::with_capacity(chunk.len());
             for &(origin, item) in chunk {
-                let route = walk(
-                    &arena,
-                    arena.ids()[origin],
-                    catalog.key(item),
-                    resolve,
-                    &plan,
-                );
-                record(&mut acc, &route);
-                let owner_rank = walk_alive(&alive, owner_ranks[item]);
+                world.route(origin, item, Some(&aware), &mut acc);
+                let owner_rank = walk_alive(&alive, world.owner_ranks[item]);
                 observations.push((origin, arena.ids()[owner_rank]));
             }
             vec![(acc, observations)]
@@ -771,40 +734,29 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
             }
         }
 
-        // 4. Shard-parallel refresh of dirty ∩ alive nodes only — the
-        //    scale form of the engine's clean-skip. Candidates are the
-        //    node's own bounded counter entries, minus itself and its
-        //    core set, minus dead members.
-        let refreshed: usize = peercache_par::par_map_mut(&mut shards, |s, shard| {
-            let (start, end) = layout.bounds(s);
+        // 4. Rank-chunk-parallel refresh of dirty ∩ alive nodes only —
+        //    the scale form of the engine's clean-skip. Candidates are
+        //    the node's own bounded counter entries, minus itself and
+        //    its core set, minus dead members.
+        let mut chunks: Vec<_> = aware.chunks_mut().collect();
+        let refreshed: usize = peercache_par::par_map_mut(&mut chunks, |_, chunk| {
             let mut workspace = PastryWorkspace::new();
             let mut core = Vec::new();
             let mut snap = FrequencySnapshot::default();
             let mut count = 0usize;
-            for rank in start..end {
+            for rank in chunk.ranks() {
                 if !dirty[rank] || !alive[rank] || counters.is_empty(rank) {
                     continue;
                 }
-                let node = arena.ids()[rank];
                 arena.core_neighbors_into(rank, &mut core);
                 counters.snapshot_into(rank, &mut snap);
-                let candidates: Vec<Candidate> = snap
+                let live = snap
                     .iter()
-                    .filter(|&(id, _)| {
-                        id != node
-                            && core.binary_search(&id).is_err()
-                            && arena.rank_of(id).is_some_and(|r| alive[r])
-                    })
-                    .map(|(id, w)| Candidate::new(id, w))
-                    .collect();
-                let problem =
-                    PastryProblem::new(space, sc.digit_bits, node, core.clone(), candidates, sc.k)
-                        .expect("scale-churn problems are well-formed");
-                let aux = &workspace
-                    .solve_into(&problem)
-                    .expect("scale-churn problems are well-formed")
-                    .aux;
-                shard.aware.set(rank - start, aux);
+                    .filter(|&(id, _)| arena.rank_of(id).is_some_and(|r| alive[r]));
+                chunk.set(
+                    rank,
+                    solve_aware(&mut workspace, arena, sc.k, rank, &core, live),
+                );
                 count += 1;
             }
             count
@@ -836,16 +788,15 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
 mod tests {
     use super::*;
 
-    fn quick_config(nodes: usize, shards: usize) -> ScaleConfig {
+    fn quick_config(nodes: usize) -> ScaleConfig {
         let mut config = ScaleConfig::paper_defaults(nodes, 11);
         config.queries = 2_000;
-        config.shards = shards;
         config
     }
 
     #[test]
     fn scale_run_reproduces_fig3_shape() {
-        let report = run_scale_stable(&quick_config(512, 4));
+        let report = run_scale_stable(&quick_config(512));
         assert_eq!(report.aware.issued, 2_000);
         assert!(
             report.aware.success_rate() > 0.99,
@@ -868,20 +819,18 @@ mod tests {
         );
     }
 
+    /// n = 384 spans two `RANK_CHUNK`s, the second one partial, so the
+    /// selection fill writes through two chunk views and walks read
+    /// across them.
     #[test]
-    fn scale_run_is_invariant_to_shard_and_thread_count() {
-        let base = run_scale_stable(&quick_config(384, 1));
-        let sharded = run_scale_stable(&quick_config(384, 7));
-        assert_eq!(base, sharded, "shard count must not affect results");
-        let threaded = peercache_par::with_threads(4, || run_scale_stable(&quick_config(384, 7)));
-        assert_eq!(base, threaded, "thread count must not affect results");
-        let serial = peercache_par::with_threads(1, || run_scale_stable(&quick_config(384, 7)));
-        assert_eq!(base, serial);
+    fn scale_run_is_invariant_to_thread_count() {
+        let serial = peercache_par::with_threads(1, || run_scale_stable(&quick_config(384)));
+        let threaded = peercache_par::with_threads(4, || run_scale_stable(&quick_config(384)));
+        assert_eq!(serial, threaded, "thread count must not affect results");
     }
 
-    fn quick_churn_config(nodes: usize, shards: usize) -> ScaleChurnConfig {
+    fn quick_churn_config(nodes: usize) -> ScaleChurnConfig {
         let mut config = ScaleChurnConfig::paper_defaults(nodes, 13);
-        config.scale.shards = shards;
         config.rounds = 3;
         config.flips_per_round = nodes / 8;
         config.queries_per_round = 1_500;
@@ -890,7 +839,7 @@ mod tests {
 
     #[test]
     fn scale_churn_flips_observe_and_refresh() {
-        let report = run_scale_churn(&quick_churn_config(512, 4));
+        let report = run_scale_churn(&quick_churn_config(512));
         assert_eq!(report.rounds.len(), 3);
         for (i, round) in report.rounds.iter().enumerate() {
             assert_eq!(round.metrics.issued, 1_500, "round {i}");
@@ -913,17 +862,13 @@ mod tests {
         );
     }
 
+    /// The churn twin of the stable invariance test: the refresh pass
+    /// re-solves through the same multi-chunk views.
     #[test]
-    fn scale_churn_is_invariant_to_shard_and_thread_count() {
-        let base = run_scale_churn(&quick_churn_config(384, 1));
-        let sharded = run_scale_churn(&quick_churn_config(384, 7));
-        assert_eq!(base, sharded, "shard count must not affect results");
-        let threaded =
-            peercache_par::with_threads(4, || run_scale_churn(&quick_churn_config(384, 7)));
-        assert_eq!(base, threaded, "thread count must not affect results");
-        let serial =
-            peercache_par::with_threads(1, || run_scale_churn(&quick_churn_config(384, 7)));
-        assert_eq!(base, serial);
+    fn scale_churn_is_invariant_to_thread_count() {
+        let serial = peercache_par::with_threads(1, || run_scale_churn(&quick_churn_config(384)));
+        let threaded = peercache_par::with_threads(4, || run_scale_churn(&quick_churn_config(384)));
+        assert_eq!(serial, threaded, "thread count must not affect results");
     }
 
     /// One pass as `(issued, succeeded, failed, total_hops,
@@ -946,10 +891,9 @@ mod tests {
     /// decision shows up as a changed hop histogram.
     #[test]
     fn scale_reports_match_recorded_pins() {
-        const STABLE: [(usize, usize, [Pin; 3]); 2] = [
+        const STABLE: [(usize, [Pin; 3]); 2] = [
             (
                 512,
-                4,
                 [
                     (
                         2000,
@@ -972,7 +916,6 @@ mod tests {
             ),
             (
                 384,
-                7,
                 [
                     (2000, 2000, 0, 3739, 0, &[5, 965, 576, 253, 151, 41, 9]),
                     (2000, 2000, 0, 5792, 0, &[5, 111, 552, 845, 400, 80, 7]),
@@ -987,8 +930,9 @@ mod tests {
                 ],
             ),
         ];
-        for (n, shards, [aware, oblivious, core_only]) in STABLE {
-            let report = run_scale_stable(&quick_config(n, shards));
+        for (n, [aware, oblivious, core_only]) in STABLE {
+            assert!(n > RANK_CHUNK, "n={n} spans two or more rank chunks");
+            let report = run_scale_stable(&quick_config(n));
             assert_eq!(pin_of(&report.aware), aware, "n={n} aware");
             assert_eq!(pin_of(&report.oblivious), oblivious, "n={n} oblivious");
             assert_eq!(pin_of(&report.core_only), core_only, "n={n} core-only");
@@ -996,10 +940,9 @@ mod tests {
 
         // `(flips, alive, refreshed, metrics)` per round.
         type Round = (usize, usize, usize, Pin);
-        const CHURN: [(usize, usize, [Round; 3]); 2] = [
+        const CHURN: [(usize, [Round; 3]); 2] = [
             (
                 512,
-                4,
                 [
                     (
                         64,
@@ -1037,7 +980,6 @@ mod tests {
             ),
             (
                 384,
-                7,
                 [
                     (
                         48,
@@ -1067,8 +1009,8 @@ mod tests {
                 ],
             ),
         ];
-        for (n, shards, rounds) in CHURN {
-            let report = run_scale_churn(&quick_churn_config(n, shards));
+        for (n, rounds) in CHURN {
+            let report = run_scale_churn(&quick_churn_config(n));
             assert_eq!(report.rounds.len(), rounds.len());
             for (i, (round, (flips, alive, refreshed, metrics))) in
                 report.rounds.iter().zip(rounds).enumerate()
@@ -1082,6 +1024,35 @@ mod tests {
             }
             assert_eq!(report.state_bytes_per_node, 411.0, "n={n} churn state");
         }
+    }
+
+    /// The chunk views tile the slab in rank order — a partial last
+    /// chunk included — and a set written through a view reads back by
+    /// rank from the whole slab.
+    #[test]
+    fn slab_chunks_cover_every_rank_once() {
+        let set_of = |rank: usize| -> Vec<Id> {
+            (0..rank % 4)
+                .map(|j| Id::new((rank * 3 + j) as u128))
+                .collect()
+        };
+        let count = 2 * RANK_CHUNK + 44;
+        let mut slab = AuxSlab::new(3, count);
+        let mut next = 0;
+        for mut chunk in slab.chunks_mut() {
+            assert_eq!(chunk.ranks().start, next);
+            next = chunk.ranks().end;
+            for rank in chunk.ranks() {
+                chunk.set(rank, &set_of(rank));
+            }
+        }
+        assert_eq!(next, count);
+        for rank in 0..count {
+            assert_eq!(slab.get(rank), set_of(rank), "rank {rank}");
+        }
+        slab.clear(RANK_CHUNK);
+        assert!(slab.get(RANK_CHUNK).is_empty());
+        assert_eq!(slab.get(RANK_CHUNK + 1).len(), (RANK_CHUNK + 1) % 4);
     }
 
     #[test]
