@@ -5,8 +5,10 @@
 //! Kernels:
 //!
 //! * the fast Chord DP through a reused [`ChordWorkspace`] (the
-//!   steady-state repeated-solve path) vs the naive `O(n²k)` reference,
-//!   plus the oracle+DP phase alone via [`PreparedChord`];
+//!   steady-state repeated-solve path, printed with its exact work
+//!   counts: oracle-build pointer steps and `s(j, m)` queries) vs the
+//!   naive `O(n²k)` reference, plus the oracle+DP phase alone via
+//!   [`PreparedChord`];
 //! * the greedy Pastry trie DP through a reused [`PastryWorkspace`] and
 //!   the exact per-row DP;
 //! * Space-Saving stream updates;
@@ -317,6 +319,13 @@ fn micro_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>)
     });
     require_zero_alloc("chord_fast_dp", alloc);
     push("chord_fast_dp", "n=1024 k=10 alpha=1.2", 1, 1, ns, alloc);
+    // The same solve's exact work counts: integers, so unlike the units
+    // they read the same on every host.
+    let work = chord_ws.work();
+    println!(
+        "  {:<24} {:<28} {:>14} oracle steps {:>10} s(j, m) queries",
+        "chord_fast_dp work", "per solve", work.oracle_steps, work.segment_queries
+    );
 
     let prepared = PreparedChord::new(&big).expect("well-formed");
     push(

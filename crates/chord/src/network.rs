@@ -139,9 +139,10 @@ impl ChordNetwork {
             .map(|(&k, _)| Id::new(k))
     }
 
-    /// The true successor list of `id` (next `len` live nodes clockwise).
-    fn true_successors(&self, id: Id) -> Vec<Id> {
-        let mut out = Vec::with_capacity(self.config.successor_list_len);
+    /// The true successor list of `id` (next `len` live nodes clockwise),
+    /// written over `out`.
+    fn true_successors_into(&self, id: Id, out: &mut Vec<Id>) {
+        out.clear();
         let mut cur = id;
         for _ in 0..self.config.successor_list_len {
             match self.next_live(cur) {
@@ -152,15 +153,20 @@ impl ChordNetwork {
                 _ => break,
             }
         }
-        out
     }
 
     /// The true finger table of `id` (first live node per `[2^i, 2^{i+1})`
-    /// range, paper §II-B).
-    fn true_fingers(&self, id: Id) -> Vec<Option<Id>> {
+    /// range, paper §II-B), written over `fingers`.
+    ///
+    /// One first-live search serves a run of empty buckets: when bucket
+    /// `i`'s first live node at or past its start lies beyond the bucket,
+    /// nothing is live in between, so it is also the first live node at
+    /// or past bucket `i + 1`'s start.
+    fn true_fingers_into(&self, id: Id, fingers: &mut Vec<Option<Id>>) {
         let space = self.config.space;
         let bits = space.bits();
-        let mut fingers = Vec::with_capacity(bits as usize);
+        fingers.clear();
+        let mut first_past: Option<Id> = None;
         for i in 0..bits {
             let lo = space.add(id, 1u128 << i);
             let hi_excl = if i + 1 == bits {
@@ -170,19 +176,28 @@ impl ChordNetwork {
             };
             // First live node at or clockwise of `lo`, kept only if it
             // falls inside [lo, hi_excl).
-            let candidate = self
-                .next_live(space.sub(lo, 1))
-                .filter(|&c| c != id && space.between_closed_open(lo, c, hi_excl));
-            fingers.push(candidate);
+            let first = first_past
+                .take()
+                .or_else(|| self.next_live(space.sub(lo, 1)));
+            let finger = first.filter(|&c| c != id && space.between_closed_open(lo, c, hi_excl));
+            if finger.is_none() {
+                first_past = first;
+            }
+            fingers.push(finger);
         }
-        fingers
     }
 
     /// Reset a node's core state from global truth (bootstrap, or the
-    /// periodic re-initialization the paper mentions in §III-2).
+    /// periodic re-initialization the paper mentions in §III-2), written
+    /// over the node's own buffers.
     fn refresh_from_truth(&mut self, id: Id) {
-        let successors = self.true_successors(id);
-        let fingers = self.true_fingers(id);
+        let Some(node) = self.nodes.get_mut(&id.value()) else {
+            return;
+        };
+        let mut successors = std::mem::take(&mut node.successors);
+        let mut fingers = std::mem::take(&mut node.fingers);
+        self.true_successors_into(id, &mut successors);
+        self.true_fingers_into(id, &mut fingers);
         let predecessor = self.true_predecessor(id);
         if let Some(node) = self.nodes.get_mut(&id.value()) {
             node.successors = successors;
@@ -280,60 +295,69 @@ impl ChordNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn stabilize(&mut self, id: Id) -> Result<(), NetworkError> {
-        if !self.nodes.contains_key(&id.value()) {
+        // 1. Prune dead beliefs (ping): successors, aux pointers and the
+        //    predecessor, in place. Fingers are re-initialised in step 3.
+        let Some(node) = self.nodes.get_mut(&id.value()) else {
             return Err(NetworkError::NotPresent(id));
-        }
-        // 1. Prune dead beliefs (ping).
-        let beliefs: Vec<Id> = {
-            let node = &self.nodes[&id.value()];
-            node.known_neighbors()
-                .into_iter()
-                .chain(node.predecessor)
-                .collect()
         };
-        for b in beliefs {
-            if self.is_live(b) {
-                continue;
-            }
-            if let Some(node) = self.nodes.get_mut(&id.value()) {
-                node.forget(b);
-            }
-        }
+        let mut successors = std::mem::take(&mut node.successors);
+        let mut aux = std::mem::take(&mut node.aux);
+        let predecessor = node.predecessor;
+        successors.retain(|&s| self.is_live(s));
+        aux.retain(|&a| self.is_live(a));
+        let predecessor = predecessor.filter(|&p| self.is_live(p));
         // 2. Successor handshake: adopt successor's predecessor if closer;
-        //    refresh the tail of the successor list from the successor.
-        let succ = self.nodes[&id.value()].successor();
+        //    refresh the tail of the successor list from the successor,
+        //    written over the node's own buffer.
+        let space = self.config.space;
+        let succ = successors.first().copied();
         if let Some(succ) = succ {
-            let space = self.config.space;
-            let (s_pred, s_succs) = {
+            // A node is its own successor only in a ring a graceful leave
+            // shrank around it; the successor's state is then its own,
+            // copied before the buffer is rewritten.
+            let own;
+            let (s_pred, s_succs) = if succ == id {
+                own = successors.clone();
+                (predecessor, own.as_slice())
+            } else {
                 let s = &self.nodes[&succ.value()];
-                (s.predecessor, s.successors.clone())
+                (s.predecessor, s.successors.as_slice())
             };
-            let mut list = Vec::with_capacity(self.config.successor_list_len);
+            successors.clear();
             if let Some(p) = s_pred {
                 // Adopt the successor's predecessor only if it is closer
                 // *and* actually alive (its pointer may itself be stale).
                 if p != id && space.between_open(id, p, succ) && self.is_live(p) {
-                    list.push(p);
+                    successors.push(p);
                 }
             }
-            list.push(succ);
-            for s in s_succs {
+            successors.push(succ);
+            for &s in s_succs {
                 // The successor's own list may be stale; verify entries
                 // before adopting them (the ping that accompanies the
                 // handshake).
-                if s != id && self.is_live(s) && !list.contains(&s) {
-                    list.push(s);
+                if s != id && self.is_live(s) && !successors.contains(&s) {
+                    successors.push(s);
                 }
             }
-            list.truncate(self.config.successor_list_len);
-            // The head of the (never-empty) list is the refreshed
-            // successor we notify below.
-            let new_succ = list.first().copied().unwrap_or(succ);
-            if let Some(node) = self.nodes.get_mut(&id.value()) {
-                node.successors = list;
-            }
-            // Notify: the successor adopts us as predecessor if we are
-            // closer than its current belief.
+            successors.truncate(self.config.successor_list_len);
+        } else if let Some(s) = self.next_live(id).filter(|&s| s != id) {
+            // Lost every successor: re-acquire from any live belief, or —
+            // as a last resort — re-bootstrap from the ring (the node
+            // would re-join through an out-of-band bootstrap server).
+            successors.push(s);
+        }
+        // After a handshake, the head of its (never-empty) list is the
+        // refreshed successor notified below.
+        let notify = succ.and(successors.first().copied());
+        if let Some(node) = self.nodes.get_mut(&id.value()) {
+            node.successors = successors;
+            node.aux = aux;
+            node.predecessor = predecessor;
+        }
+        // Notify: the successor adopts us as predecessor if we are closer
+        // than its current belief.
+        if let Some(new_succ) = notify {
             let adopt = match self.nodes[&new_succ.value()].predecessor {
                 None => true,
                 Some(p) => p == id || space.between_open(p, id, new_succ) || !self.is_live(p),
@@ -343,19 +367,14 @@ impl ChordNetwork {
                     s.predecessor = Some(id);
                 }
             }
-        } else {
-            // Lost every successor: re-acquire from any live belief, or —
-            // as a last resort — re-bootstrap from the ring (the node
-            // would re-join through an out-of-band bootstrap server).
-            let fallback = self.next_live(id).filter(|&s| s != id);
-            if let Some(s) = fallback {
-                if let Some(node) = self.nodes.get_mut(&id.value()) {
-                    node.successors = vec![s];
-                }
-            }
         }
         // 3. Fix fingers (periodic re-initialization).
-        let fingers = self.true_fingers(id);
+        let mut fingers = self
+            .nodes
+            .get_mut(&id.value())
+            .map(|node| std::mem::take(&mut node.fingers))
+            .unwrap_or_default();
+        self.true_fingers_into(id, &mut fingers);
         if let Some(node) = self.nodes.get_mut(&id.value()) {
             node.fingers = fingers;
         }

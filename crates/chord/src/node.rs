@@ -39,18 +39,6 @@ impl ChordNode {
         self.successors.first().copied()
     }
 
-    /// All distinct routing candidates: fingers, successor list, and
-    /// auxiliary neighbors (self excluded).
-    pub fn known_neighbors(&self) -> Vec<Id> {
-        let mut out: Vec<Id> = self
-            .core()
-            .chain(self.aux.iter().copied().filter(|&n| n != self.id))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// The core entries in place — fingers, then the successor list,
     /// self excluded, duplicates kept. Routing reads its candidates from
     /// here without building a list.
@@ -105,13 +93,18 @@ mod tests {
     }
 
     #[test]
-    fn known_neighbors_dedups_across_structures() {
+    fn core_neighbors_dedup_fingers_and_successors_without_aux() {
         let mut n = ChordNode::new(id(0), 4);
         n.fingers[1] = Some(id(5));
         n.fingers[2] = Some(id(5)); // duplicate entry
         n.successors = vec![id(2), id(5)];
         n.aux = vec![id(9), id(2)];
-        assert_eq!(n.known_neighbors(), vec![id(2), id(5), id(9)]);
+        let core: Vec<Id> = n.core().collect();
+        assert_eq!(
+            core,
+            vec![id(5), id(5), id(2), id(5)],
+            "in place, duplicates kept"
+        );
         assert_eq!(n.core_neighbors(), vec![id(2), id(5)]);
     }
 
@@ -132,7 +125,9 @@ mod tests {
     #[test]
     fn self_is_never_a_neighbor() {
         let mut n = ChordNode::new(id(3), 4);
+        n.fingers[0] = Some(id(3));
         n.successors = vec![id(3)];
-        assert!(n.known_neighbors().is_empty());
+        assert_eq!(n.core().count(), 0);
+        assert!(n.core_neighbors().is_empty());
     }
 }

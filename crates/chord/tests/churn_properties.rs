@@ -98,7 +98,8 @@ proptest! {
         }
         for id in net.live_ids() {
             let node = net.node(id).unwrap();
-            prop_assert!(!node.known_neighbors().contains(&id), "self-pointer at {id}");
+            let entries = node.fingers.iter().flatten().chain(&node.successors).chain(&node.aux);
+            prop_assert!(entries.copied().all(|n| n != id), "self-pointer at {id}");
             prop_assert_ne!(node.predecessor, Some(id));
         }
     }

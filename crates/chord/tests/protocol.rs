@@ -177,7 +177,7 @@ fn failed_node_leaves_stale_entries_until_stabilization() {
     net.stabilize_all();
     for &nid in ids.iter().filter(|&&f| f != victim) {
         let node = net.node(nid).unwrap();
-        assert!(!node.known_neighbors().contains(&victim));
+        assert!(!node.core_neighbors().contains(&victim) && !node.aux.contains(&victim));
     }
     let _ = probes; // staleness may or may not surface as probes; both fine
 }

@@ -3,7 +3,8 @@
 //! Two ingredients replace the naive `O(n²·k)` solve:
 //!
 //! 1. the [`SegmentOracle`](crate::chord::oracle) answers any `s(j, m)`
-//!    query from `O(n·b·log n)`-precomputed tables, and
+//!    query in `O(1)` from tables precomputed in `O((n + c)·b)` for `c`
+//!    core neighbors, and
 //! 2. each DP layer is solved with **divide-and-conquer optimisation**
 //!    instead of scanning all `j` per `m`. This substitutes for the
 //!    concave least-weight-subsequence algorithm of the paper's reference
@@ -31,7 +32,7 @@ use crate::problem::{ChordProblem, SelectError, Selection};
 ///
 /// `g[j]` = `C_{i−1}(j − 1)` for `j ∈ 1..=n` (`g[0]` unused); outputs
 /// `cur[m]` and the achieving `j` in `ch[m]`. `stack` is the explicit
-/// recursion stack, reused across layers.
+/// recursion stack, reused across layers. Returns the `s` queries made.
 fn layer_dc(
     oracle: &SegmentOracle,
     ring: &RingView,
@@ -39,11 +40,12 @@ fn layer_dc(
     cur: &mut [f64],
     ch: &mut [u32],
     stack: &mut Vec<(usize, usize, usize, usize)>,
-) {
+) -> u64 {
     let n = g.len() - 1;
     if n == 0 {
-        return;
+        return 0;
     }
+    let mut queries = 0u64;
     // Explicit work-stack recursion: (m_lo, m_hi, j_lo, j_hi) inclusive.
     stack.clear();
     stack.push((1usize, n, 1usize, n));
@@ -59,6 +61,7 @@ fn layer_dc(
             if g[j].is_infinite() {
                 continue;
             }
+            queries += 1;
             let val = g[j] + oracle.s(ring, j - 1, mid - 1);
             if val < best {
                 best = val;
@@ -77,11 +80,12 @@ fn layer_dc(
             stack.push((mid + 1, mhi, best_j, jhi));
         }
     }
+    queries
 }
 
 /// The layered §V-B solve writing into caller-owned buffers: `dp` holds
 /// the result, `g` and `stack` are per-layer scratch. No allocation once
-/// all three have warmed-up capacity.
+/// all three have warmed-up capacity. Returns the `s` queries made.
 pub(crate) fn solve_fast_into(
     ring: &RingView,
     oracle: &SegmentOracle,
@@ -89,9 +93,10 @@ pub(crate) fn solve_fast_into(
     dp: &mut DpResult,
     g: &mut Vec<f64>,
     stack: &mut Vec<(usize, usize, usize, usize)>,
-) {
+) -> u64 {
     let n = ring.len();
     dp.reset_to_c0(ring);
+    let mut queries = 0;
     for i in 1..=k {
         // g[j] = C_{i−1}(j − 1) with the exactly-i placement convention:
         // C_{i−1}(0) is 0 only when i = 1.
@@ -107,8 +112,9 @@ pub(crate) fn solve_fast_into(
         let row = dp.push_layer();
         let (_, cur) = dp.layers.split_at_mut(row);
         let (_, ch) = dp.choice.split_at_mut(row);
-        layer_dc(oracle, ring, g, cur, ch, stack);
+        queries += layer_dc(oracle, ring, g, cur, ch, stack);
     }
+    queries
 }
 
 pub(crate) fn solve_fast(ring: &RingView, oracle: &SegmentOracle, k: usize) -> DpResult {
@@ -177,7 +183,7 @@ impl PreparedChord {
         self.ring.len()
     }
 
-    /// Phase 2 of §V-B: segment-oracle precompute (`O(n·b·log n)`) plus
+    /// Phase 2 of §V-B: segment-oracle precompute (`O((n + c)·b)`) plus
     /// the `k`-layer divide-and-conquer DP (`O(k·n·log n)`), escalating
     /// the layer count when QoS bounds make exactly-`k` placements
     /// infeasible (mirroring [`select_fast`]).
@@ -217,6 +223,21 @@ pub struct ChordWorkspace {
     g: Vec<f64>,
     stack: Vec<(usize, usize, usize, usize)>,
     selection: Selection,
+    work: ChordWork,
+}
+
+/// Deterministic work counts of one [`ChordWorkspace::solve_into`] call:
+/// exact integers, so they pin the solve's complexity where wall-clock
+/// timings cannot. Counting draws no randomness and allocates nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ChordWork {
+    /// Pointer steps of the segment-oracle build: one per comparison
+    /// while the per-radius pointers advance, at most
+    /// `(b + 1)·(3n + c)` for `n` candidates and `c` core neighbors.
+    pub oracle_steps: u64,
+    /// `s(j, m)` oracle queries made by the divide-and-conquer layers,
+    /// over every layer count the QoS escalation tried.
+    pub segment_queries: u64,
 }
 
 impl Default for ChordWorkspace {
@@ -239,7 +260,15 @@ impl ChordWorkspace {
                 aux: Vec::new(),
                 cost: 0.0,
             },
+            work: ChordWork::default(),
         }
+    }
+
+    /// The work counts of the last [`solve_into`](Self::solve_into)
+    /// (zero before the first, and after a solve rejected as malformed).
+    #[must_use]
+    pub fn work(&self) -> ChordWork {
+        self.work
     }
 
     /// Solve `problem` with the fast algorithm, reusing this workspace's
@@ -252,9 +281,10 @@ impl ChordWorkspace {
     /// with `k` pointers.
     pub fn solve_into(&mut self, problem: &ChordProblem) -> Result<&Selection, SelectError> {
         let k = problem.effective_k();
+        self.work = ChordWork::default();
         self.ring.rebase_into(problem)?;
-        self.oracle.rebuild(&self.ring);
-        solve_fast_into(
+        self.work.oracle_steps = self.oracle.rebuild(&self.ring);
+        self.work.segment_queries = solve_fast_into(
             &self.ring,
             &self.oracle,
             k,
@@ -271,7 +301,7 @@ impl ChordWorkspace {
             let mut i = k;
             while i < n && !self.dp.cost(i, n).is_finite() {
                 i += 1;
-                solve_fast_into(
+                self.work.segment_queries += solve_fast_into(
                     &self.ring,
                     &self.oracle,
                     i,
@@ -287,7 +317,8 @@ impl ChordWorkspace {
 }
 
 /// One-shot selection via the fast algorithm (paper §V-B):
-/// `O(n·b·log n)` preprocessing plus `O(k·n·log n)` DP.
+/// `O((n + c)·b)` preprocessing for `c` core neighbors plus
+/// `O(k·n·log n)` DP.
 ///
 /// # Errors
 /// [`SelectError::InvalidProblem`] on malformed input;

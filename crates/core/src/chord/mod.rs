@@ -14,7 +14,7 @@ pub(crate) mod naive;
 pub(crate) mod oracle;
 pub(crate) mod ring;
 
-pub use fast::{select_fast, select_schedule, ChordWorkspace, PreparedChord};
+pub use fast::{select_fast, select_schedule, ChordWork, ChordWorkspace, PreparedChord};
 pub use naive::select_naive;
 
 #[cfg(test)]

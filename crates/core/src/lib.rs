@@ -26,7 +26,7 @@
 //! | [`pastry::select_greedy`] | Pastry | greedy trie DP (§IV-B) | `O(n·k·b)` |
 //! | [`pastry::PastryOptimizer`] | Pastry | incremental (§IV-C) | `O(k·b)` per change |
 //! | [`chord::select_naive`] | Chord | ring DP (§V-A) | `O(n²·k)` |
-//! | [`chord::select_fast`] | Chord | oracle + concave DP (§V-B) | `O(n·(b + k·log n)·log n)` |
+//! | [`chord::select_fast`] | Chord | oracle + concave DP (§V-B) | `O((n + c)·b + k·n·log n)`, `c` core neighbors |
 //! | [`baseline::pastry_oblivious`], [`baseline::chord_oblivious`] | both | frequency-oblivious baseline (§VI-A) | `O(n·log(\|N\|+k))` |
 //! | [`exhaustive::pastry_exhaustive`], [`exhaustive::chord_exhaustive`] | both | brute force (validation) | exponential |
 //!

@@ -19,6 +19,14 @@
 //!   [`derive_seed`], never drawn from an RNG stream shared across tasks
 //!   (a shared stream would make results depend on scheduling order).
 //!
+//! ## Workers
+//!
+//! A parallel map runs on `threads` workers, the calling thread among
+//! them: the caller keeps the first item for itself, spawns the other
+//! workers, and then claims items beside them. A map whose first task is
+//! long-running (a serial draw ahead of many short tasks, say) therefore
+//! runs it on the calling thread, where a serial map would run it too.
+//!
 //! ## Nesting
 //!
 //! A `par_map` issued from inside a pool worker runs **serially inline**.

@@ -11,8 +11,23 @@ static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Scoped override installed by [`with_threads`]; 0 means "none".
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
-    /// True on pool worker threads: nested maps run serially inline.
+    /// True on pool worker threads (and on a caller while it works
+    /// beside them): nested maps run serially inline.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` as a pool worker: nested maps inside it run inline. The mark
+/// is restored afterwards — even on panic — so a caller that worked
+/// beside its spawned workers is a plain thread again once the map ends.
+fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_POOL.with(|p| p.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_POOL.with(|p| p.replace(true)));
+    f()
 }
 
 /// Set the process-wide default thread count (`0` restores auto-detect).
@@ -63,8 +78,8 @@ pub fn threads() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Map `f` over `items` on [`threads`] worker threads, preserving input
-/// order in the returned vector.
+/// Map `f` over `items` on [`threads`] workers (the calling thread among
+/// them), preserving input order in the returned vector.
 ///
 /// See the crate root for the determinism contract, nesting behaviour and
 /// panic propagation.
@@ -134,36 +149,32 @@ where
     // Same scheme as `par_map_with`, with a hand-off cell per item: a
     // worker claims index `i` by atomic increment and *takes* the `&mut T`
     // out of its cell, so exclusive access is enforced by construction.
-    let next = AtomicUsize::new(0);
+    let next = AtomicUsize::new(1);
     let cells: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    let work = |mut i: usize| {
+        while i < len {
+            let item = match cells[i].lock() {
+                Ok(mut cell) => cell.take(),
+                Err(poisoned) => poisoned.into_inner().take(),
+            };
+            // The atomic hands each index to one worker, so the cell is
+            // always still full here.
+            let Some(item) = item else { break };
+            let result = f(i, item);
+            match slots[i].lock() {
+                Ok(mut slot) => *slot = Some(result),
+                Err(poisoned) => *poisoned.into_inner() = Some(result),
+            }
+            i = next.fetch_add(1, Ordering::Relaxed);
+        }
+    };
     let mut panic_payload = None;
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(len))
-            .map(|_| {
-                scope.spawn(|| {
-                    IN_POOL.with(|p| p.set(true));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= len {
-                            break;
-                        }
-                        let item = match cells[i].lock() {
-                            Ok(mut cell) => cell.take(),
-                            Err(poisoned) => poisoned.into_inner().take(),
-                        };
-                        // The atomic hands each index to one worker, so
-                        // the cell is always still full here.
-                        let Some(item) = item else { break };
-                        let result = f(i, item);
-                        match slots[i].lock() {
-                            Ok(mut slot) => *slot = Some(result),
-                            Err(poisoned) => *poisoned.into_inner() = Some(result),
-                        }
-                    }
-                })
-            })
+        let handles: Vec<_> = (1..threads.min(len))
+            .map(|_| scope.spawn(|| as_worker(|| work(next.fetch_add(1, Ordering::Relaxed)))))
             .collect();
+        as_worker(|| work(0));
         for handle in handles {
             if let Err(payload) = handle.join() {
                 panic_payload.get_or_insert(payload);
@@ -203,33 +214,34 @@ where
 
     // Work-stealing by atomic index; each task writes its own slot, so
     // output order is input order no matter how the OS schedules workers.
-    let next = AtomicUsize::new(0);
+    // The calling thread is one of the `threads` workers: it keeps index 0
+    // for itself and claims the rest beside `threads - 1` spawned ones, so
+    // the first task runs on the thread a serial map would run it on.
+    let next = AtomicUsize::new(1);
     let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    let work = |mut i: usize| {
+        while i < len {
+            let result = f(i, &items[i]);
+            match slots[i].lock() {
+                Ok(mut slot) => *slot = Some(result),
+                // A sibling worker's panic can only poison its own slot,
+                // never this one; recover the guard.
+                Err(poisoned) => *poisoned.into_inner() = Some(result),
+            }
+            i = next.fetch_add(1, Ordering::Relaxed);
+        }
+    };
     let mut panic_payload = None;
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(len))
-            .map(|_| {
-                scope.spawn(|| {
-                    IN_POOL.with(|p| p.set(true));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= len {
-                            break;
-                        }
-                        let result = f(i, &items[i]);
-                        match slots[i].lock() {
-                            Ok(mut slot) => *slot = Some(result),
-                            // A sibling worker's panic can only poison its
-                            // own slot, never this one; recover the guard.
-                            Err(poisoned) => *poisoned.into_inner() = Some(result),
-                        }
-                    }
-                })
-            })
+        let handles: Vec<_> = (1..threads.min(len))
+            .map(|_| scope.spawn(|| as_worker(|| work(next.fetch_add(1, Ordering::Relaxed)))))
             .collect();
+        as_worker(|| work(0));
         // Join explicitly to capture the first worker's original panic
         // payload (`thread::scope` alone would replace it with its own
-        // "a scoped thread panicked" message).
+        // "a scoped thread panicked" message). A panic in the caller's
+        // own task unwinds out of the scope, which joins the workers and
+        // re-raises that payload.
         for handle in handles {
             if let Err(payload) = handle.join() {
                 panic_payload.get_or_insert(payload);

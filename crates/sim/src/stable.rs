@@ -253,29 +253,73 @@ pub(crate) fn build_selection_inputs(config: &StableConfig) -> SelectionInputs {
     }
 }
 
+/// The frequency-aware solves of one chunk of nodes, `nodes` starting
+/// at index `start`, through one [`SelectScratch`], so every solve after
+/// the chunk's first reuses the warmed solver workspaces. Each node's
+/// selection is a pure function of `(node, freqs, k)` — the workspace
+/// contract — so the sets do not depend on how nodes are chunked.
+fn select_aware_chunk(
+    inputs: &SelectionInputs,
+    k: usize,
+    start: usize,
+    nodes: &[Id],
+) -> Vec<Vec<Id>> {
+    let mut scratch = SelectScratch::new();
+    nodes
+        .iter()
+        .enumerate()
+        .map(|(offset, &node)| {
+            let freqs = &inputs.pool_weights[inputs.assignment.pool_index(start + offset)];
+            inputs
+                .overlay
+                .select_aware_into(node, freqs, k, &mut scratch)
+                .expect("stable problems are well-formed")
+                .aux
+        })
+        .collect()
+}
+
 /// The frequency-aware selection fan-out at an explicit chunk size: one
-/// pool task per chunk of nodes, one [`SelectScratch`] per task, so
-/// every solve after a chunk's first reuses the warmed solver
-/// workspaces. Each node's selection is a pure function of
-/// `(node, freqs, k)` — the workspace contract — so the returned sets
-/// are identical for every chunk size and thread count; only the
-/// dispatch economics move.
+/// pool task per chunk of nodes. The returned sets are identical for
+/// every chunk size and thread count; only the dispatch economics move.
 pub(crate) fn select_aware_sets(inputs: &SelectionInputs, k: usize, chunk: usize) -> Vec<Vec<Id>> {
     peercache_par::par_map_chunked(&inputs.node_ids, chunk, |start, nodes| {
-        let mut scratch = SelectScratch::new();
-        nodes
-            .iter()
-            .enumerate()
-            .map(|(offset, &node)| {
-                let freqs = &inputs.pool_weights[inputs.assignment.pool_index(start + offset)];
-                inputs
-                    .overlay
-                    .select_aware_into(node, freqs, k, &mut scratch)
-                    .expect("stable problems are well-formed")
-                    .aux
-            })
-            .collect()
+        select_aware_chunk(inputs, k, start, nodes)
     })
+}
+
+/// Every node's frequency-oblivious baseline set, drawn in node order
+/// from the one `seed + 3` stream. The stream's ordering across nodes is
+/// part of the reproducibility contract, so this draw is one serial
+/// task; the aware solves consume no randomness, so running it beside
+/// them yields the exact draw sequence of the historical interleaved
+/// loop. The baseline ignores frequencies entirely: random picks per
+/// distance slice over the whole ring (§VI-A), not just over the nodes
+/// that happen to own items. Each call is linear in the ring size apart
+/// from the draws (sorted-neighbour cost, sorted-slice validation), so
+/// the one task stays shorter than the aware fan-out at the figure
+/// sizes.
+fn select_oblivious_sets(inputs: &SelectionInputs, config: &StableConfig) -> Vec<Vec<Id>> {
+    let mut rng_select = StdRng::seed_from_u64(config.seed.wrapping_add(3));
+    inputs
+        .node_ids
+        .iter()
+        .map(|&node| {
+            inputs
+                .overlay
+                .select_oblivious_uniform(node, config.k, &mut rng_select)
+                .expect("stable problems are well-formed")
+                .aux
+        })
+        .collect()
+}
+
+/// One task of the stable set-up's selection list.
+enum SelectTask<'a> {
+    /// The whole serial oblivious draw.
+    Oblivious,
+    /// The aware solves of `nodes`, starting at node index `start`.
+    Aware { start: usize, nodes: &'a [Id] },
 }
 
 /// Pre-built inputs for timing the aware-selection fan-out at explicit
@@ -316,31 +360,36 @@ impl SelectionBench {
 /// strategies' auxiliary selections.
 pub(crate) fn build_stable(config: &StableConfig) -> StableSetup {
     let inputs = build_selection_inputs(config);
-    let mut rng_select = StdRng::seed_from_u64(config.seed.wrapping_add(3));
 
-    // Per-node selections under both strategies. The oblivious baseline
-    // stays serial: it draws from a single `rng_select` stream whose
-    // ordering across nodes is part of the reproducibility contract (the
-    // aware pass below consumes no randomness, so draining the stream
-    // here yields the exact draw sequence of the historical interleaved
-    // loop). The baseline ignores frequencies entirely: random picks per
-    // distance slice over the whole ring (§VI-A), not just over the
-    // nodes that happen to own items. Each call is linear in the ring
-    // size apart from the draws (sorted-neighbour cost, sorted-slice
-    // validation), so the serial loop stays cheaper than the aware
-    // fan-out at the figure sizes.
-    let mut oblivious_sets = Vec::with_capacity(config.nodes);
-    for &node in inputs.node_ids.iter() {
-        let oblivious = inputs
-            .overlay
-            .select_oblivious_uniform(node, config.k, &mut rng_select)
-            .expect("stable problems are well-formed");
-        oblivious_sets.push(oblivious.aux);
-    }
-    // The aware DP solves — the hot inner loop of a stable run — fan out
-    // over the pool in fixed chunks (never by thread count). Order
-    // preservation keeps `aware_sets[idx]` aligned with `node_ids[idx]`.
-    let aware_sets = select_aware_sets(&inputs, config.k, SELECT_CHUNK);
+    // Per-node selections under both strategies, as one task list: the
+    // serial oblivious draw first, then the aware DP solves — the hot
+    // inner loop of a stable run — in fixed chunks (never by thread
+    // count). The calling thread keeps the first task, so the draw runs
+    // where a serial run draws (its per-node temporaries stay in that
+    // thread's heap, not beside another worker's) while the other
+    // workers take the aware chunks; a serial or nested run executes the
+    // list in order. Order preservation keeps `aware_sets[idx]` aligned
+    // with `node_ids[idx]`.
+    let mut tasks = vec![SelectTask::Oblivious];
+    tasks.extend(
+        inputs
+            .node_ids
+            .chunks(SELECT_CHUNK)
+            .enumerate()
+            .map(|(c, nodes)| SelectTask::Aware {
+                start: c * SELECT_CHUNK,
+                nodes,
+            }),
+    );
+    let mut sets = peercache_par::par_map(&tasks, |_, task| match *task {
+        SelectTask::Oblivious => select_oblivious_sets(&inputs, config),
+        SelectTask::Aware { start, nodes } => select_aware_chunk(&inputs, config.k, start, nodes),
+    })
+    .into_iter();
+    let Some(oblivious_sets) = sets.next() else {
+        unreachable!("par_map yields one result per task, the draw first");
+    };
+    let aware_sets: Vec<Vec<Id>> = sets.flatten().collect();
 
     let SelectionInputs {
         node_ids,

@@ -37,7 +37,7 @@ fn chord_fast_handles_hundred_thousand_candidates() {
     let elapsed = start.elapsed();
     assert_eq!(sel.aux.len(), 17);
     assert!(sel.cost.is_finite());
-    // O(n·(b + k·log n)·log n) should stay comfortably interactive.
+    // O((n + c)·b + k·n·log n) should stay comfortably interactive.
     assert!(
         elapsed.as_secs() < 60,
         "fast solver took {elapsed:?} for n = {n}"
