@@ -270,17 +270,29 @@ impl ChordNetwork {
             .ok_or(NetworkError::NotPresent(id))?;
         let succ = node.successors.iter().find(|s| self.is_live(**s)).copied();
         let pred = node.predecessor.filter(|p| self.is_live(*p));
-        if let (Some(succ), Some(pred)) = (succ, pred) {
-            if let Some(s) = self.nodes.get_mut(&succ.value()) {
-                s.predecessor = Some(pred);
-            }
-            if let Some(p) = self.nodes.get_mut(&pred.value()) {
-                p.forget(id);
-                if p.successors.first() != Some(&succ) {
-                    p.successors.insert(0, succ);
-                    p.successors.truncate(self.config.successor_list_len);
+        match (succ, pred) {
+            // The leaver's only neighbour on both sides: it forgets the
+            // leaver and, in a two-node ring, is left alone as `build`
+            // leaves a one-node ring, with no successor and no
+            // predecessor, rather than pointing at itself.
+            (Some(succ), Some(pred)) if succ == pred => {
+                if let Some(s) = self.nodes.get_mut(&succ.value()) {
+                    s.forget(id);
                 }
             }
+            (Some(succ), Some(pred)) => {
+                if let Some(s) = self.nodes.get_mut(&succ.value()) {
+                    s.predecessor = Some(pred);
+                }
+                if let Some(p) = self.nodes.get_mut(&pred.value()) {
+                    p.forget(id);
+                    if p.successors.first() != Some(&succ) {
+                        p.successors.insert(0, succ);
+                        p.successors.truncate(self.config.successor_list_len);
+                    }
+                }
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -312,17 +324,8 @@ impl ChordNetwork {
         let space = self.config.space;
         let succ = successors.first().copied();
         if let Some(succ) = succ {
-            // A node is its own successor only in a ring a graceful leave
-            // shrank around it; the successor's state is then its own,
-            // copied before the buffer is rewritten.
-            let own;
-            let (s_pred, s_succs) = if succ == id {
-                own = successors.clone();
-                (predecessor, own.as_slice())
-            } else {
-                let s = &self.nodes[&succ.value()];
-                (s.predecessor, s.successors.as_slice())
-            };
+            let s = &self.nodes[&succ.value()];
+            let (s_pred, s_succs) = (s.predecessor, s.successors.as_slice());
             successors.clear();
             if let Some(p) = s_pred {
                 // Adopt the successor's predecessor only if it is closer

@@ -92,6 +92,7 @@ proptest! {
             match op {
                 Op::Join(v) => { let _ = net.join(space.normalize(u128::from(v))); }
                 Op::Fail(v) if net.len() > 1 => { let _ = net.fail(space.normalize(u128::from(v))); }
+                Op::Leave(v) if net.len() > 1 => { let _ = net.leave(space.normalize(u128::from(v))); }
                 Op::Stabilize(v) => { let _ = net.stabilize(space.normalize(u128::from(v))); }
                 _ => {}
             }
@@ -103,4 +104,25 @@ proptest! {
             prop_assert_ne!(node.predecessor, Some(id));
         }
     }
+}
+
+/// A graceful leave from a two-node ring leaves the survivor as `build`
+/// leaves a one-node ring: no successor and no predecessor, never itself.
+#[test]
+fn leaving_a_two_node_ring_leaves_no_self_pointer() {
+    let space = IdSpace::new(8).unwrap();
+    let (stay, go) = (Id::new(10), Id::new(200));
+    let mut net = ChordNetwork::build(ChordConfig::new(space), &[stay, go]);
+    net.leave(go).unwrap();
+    let alone = ChordNetwork::build(ChordConfig::new(space), &[stay]);
+    for net in [&net, &alone] {
+        let node = net.node(stay).unwrap();
+        assert!(node.successors.is_empty(), "{:?}", node.successors);
+        assert_eq!(node.predecessor, None);
+    }
+    net.stabilize(stay).unwrap();
+    let node = net.node(stay).unwrap();
+    assert!(node.successors.is_empty() && node.predecessor.is_none());
+    let route = net.lookup(stay, Id::new(5)).unwrap();
+    assert!(route.is_success());
 }

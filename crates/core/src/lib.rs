@@ -27,7 +27,7 @@
 //! | [`pastry::PastryOptimizer`] | Pastry | incremental (§IV-C) | `O(k·b)` per change |
 //! | [`chord::select_naive`] | Chord | ring DP (§V-A) | `O(n²·k)` |
 //! | [`chord::select_fast`] | Chord | oracle + concave DP (§V-B) | `O((n + c)·b + k·n·log n)`, `c` core neighbors |
-//! | [`baseline::pastry_oblivious`], [`baseline::chord_oblivious`] | both | frequency-oblivious baseline (§VI-A) | `O(n·log(\|N\|+k))` |
+//! | [`baseline::ObliviousDraw`], [`baseline::pastry_oblivious`], [`baseline::chord_oblivious`] | both | frequency-oblivious baseline (§VI-A) | draw `O(n + \|N\|)`; pricing it by eq. 1 `O(n·log(\|N\|+k))` |
 //! | [`exhaustive::pastry_exhaustive`], [`exhaustive::chord_exhaustive`] | both | brute force (validation) | exponential |
 //!
 //! Every solver honours optional per-candidate **QoS delay bounds**

@@ -96,12 +96,15 @@ fn repeated(ids: &[Id]) -> Option<Id> {
     ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
-fn validate_common(
+/// Validate the source and its core neighbors; the core comes back in
+/// increasing order. The frequency-oblivious baseline's ring draw
+/// ([`ObliviousDraw`](crate::baseline::ObliviousDraw)) runs this check
+/// too, so both paths reject a malformed core with the same error.
+pub(crate) fn validate_core(
     space: IdSpace,
     source: Id,
     core: &[Id],
-    candidates: &[Candidate],
-) -> Result<(), SelectError> {
+) -> Result<Cow<'_, [Id]>, SelectError> {
     space
         .check(source)
         .map_err(|e| SelectError::InvalidProblem(format!("source: {e}")))?;
@@ -121,6 +124,33 @@ fn validate_common(
             "duplicate core neighbor {c}"
         )));
     }
+    Ok(core)
+}
+
+/// Validate a Pastry digit width: it must split the id space into
+/// digits, and a digit must fit the trie's `u16` slots.
+pub(crate) fn validate_digit_bits(space: IdSpace, digit_bits: u8) -> Result<(), SelectError> {
+    space
+        .digit_count(digit_bits)
+        .map_err(|e| SelectError::InvalidProblem(e.to_string()))?;
+    if digit_bits > 16 {
+        // Digits are represented as u16 and each trie vertex holds 2^d
+        // child slots; wider digits are never useful and would overflow
+        // both representations.
+        return Err(SelectError::InvalidProblem(format!(
+            "digit width {digit_bits} exceeds the supported maximum of 16 bits"
+        )));
+    }
+    Ok(())
+}
+
+fn validate_common(
+    space: IdSpace,
+    source: Id,
+    core: &[Id],
+    candidates: &[Candidate],
+) -> Result<(), SelectError> {
+    let core = validate_core(space, source, core)?;
     for cand in candidates {
         space
             .check(cand.id)
@@ -202,17 +232,7 @@ impl PastryProblem {
         candidates: Vec<Candidate>,
         k: usize,
     ) -> Result<Self, SelectError> {
-        space
-            .digit_count(digit_bits)
-            .map_err(|e| SelectError::InvalidProblem(e.to_string()))?;
-        if digit_bits > 16 {
-            // Digits are represented as u16 and each trie vertex holds 2^d
-            // child slots; wider digits are never useful and would overflow
-            // both representations.
-            return Err(SelectError::InvalidProblem(format!(
-                "digit width {digit_bits} exceeds the supported maximum of 16 bits"
-            )));
-        }
+        validate_digit_bits(space, digit_bits)?;
         validate_common(space, source, &core, &candidates)?;
         Ok(PastryProblem {
             space,
