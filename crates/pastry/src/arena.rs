@@ -163,32 +163,9 @@ impl PastryArena {
     #[allow(clippy::cast_possible_truncation)]
     pub fn cell(&self, rank: usize, l: u8, c: u16) -> Option<Id> {
         let owner = *self.ids.get(rank)?;
-        let space = self.config.space;
-        let b = u32::from(space.bits());
-        let d = u32::from(self.config.digit_bits);
-        let ld = u32::from(l) * d;
-        if ld >= b {
-            return None;
-        }
-        let w = d.min(b - ld);
-        if u32::from(c) >= (1u32 << w) {
-            return None;
-        }
-        let own = space.digit(owner, l, self.config.digit_bits).ok()?;
-        if c == own {
-            return None;
-        }
-        let rem = b - ld - w;
-        let prefix = if ld == 0 {
-            0
-        } else {
-            owner.value() >> (b - ld)
-        };
-        let low = ((prefix << w) | u128::from(c)) << rem;
-        let ones = if rem == 0 { 0 } else { (1u128 << rem) - 1 };
-        let high_incl = low | ones;
+        let (low, high) = self.config.cell_range(owner, l, c)?;
         let lo_i = self.ids.partition_point(|&x| x.value() < low);
-        let hi_i = self.ids.partition_point(|&x| x.value() <= high_incl);
+        let hi_i = self.ids.partition_point(|&x| x.value() <= high);
         if lo_i == hi_i {
             return None;
         }
