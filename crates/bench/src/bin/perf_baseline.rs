@@ -15,6 +15,9 @@
 //! * the hot Pastry world's serial set-up layers, per node and
 //!   informational: the frequency-oblivious baseline draw as the stable
 //!   set-up runs it, and the Pastry network build;
+//! * the per-lookup routing layer, one informational kernel per
+//!   substrate: a fixed query stream through
+//!   `SimOverlay::query_with_aux` over the stable driver's aware sets;
 //! * end-to-end `fig3` at `--quick` scale serially and over the pool
 //!   (paper scale too without `--quick`), reporting speedup-vs-serial.
 //!
@@ -62,7 +65,7 @@ use peercache_par::with_threads;
 use peercache_pastry::{PastryConfig, PastryNetwork, RoutingMode};
 use peercache_sim::{
     fault_matrix_multi, fig3, ChurnConfig, ChurnRecomputeBench, FaultMatrixConfig, OverlayKind,
-    Scale, SelectionBench, StableConfig,
+    RankingMode, RuntimeFixture, Scale, SelectionBench, StableConfig,
 };
 use peercache_workload::{random_ids, Zipf};
 use rand::rngs::StdRng;
@@ -480,6 +483,77 @@ fn setup_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>)
     );
 }
 
+/// The routing layer per substrate, per lookup: the stable driver's
+/// world through `RuntimeFixture` (topology, aware sets, query stream),
+/// then the first `ROUTED` queries of its stream routed read-only
+/// through `SimOverlay::query_with_aux`, each node's aux set found by a
+/// binary search of the aware table sorted by node. Worlds: the hot
+/// Pastry world (b = 1, locality-aware, n = 2048, the benchmark's
+/// `hot_pastry`), the wide Chord world (n = 1024, 2048 items, α = 0.91,
+/// five rankings, k = 10, the benchmark's `wide_chord`), and Tapestry
+/// (d = 1) and the skip graph at n = 1024. Informational (ungated): the
+/// walk still allocates its route trace, so allocs/lookup is reported,
+/// not held to zero.
+fn route_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>) {
+    const ROUTED: usize = 20_000;
+    let mut wide = StableConfig::paper_defaults(OverlayKind::Chord, 1024, 1);
+    wide.items = 2048;
+    wide.alpha = 0.91;
+    wide.ranking = RankingMode::Pool(5);
+    wide.k = 10;
+    let worlds = [
+        (
+            "route_pastry",
+            "hot: pastry b=1 n=2048 k=11",
+            StableConfig::paper_defaults(
+                OverlayKind::Pastry {
+                    digit_bits: 1,
+                    mode: RoutingMode::LocalityAware,
+                },
+                2048,
+                1,
+            ),
+        ),
+        ("route_chord", "wide: chord n=1024 k=10", wide),
+        (
+            "route_tapestry",
+            "tapestry d=1 n=1024 k=10",
+            StableConfig::paper_defaults(OverlayKind::Tapestry { digit_bits: 1 }, 1024, 1),
+        ),
+        (
+            "route_skipgraph",
+            "skip graph n=1024 k=10",
+            StableConfig::paper_defaults(OverlayKind::SkipGraph, 1024, 1),
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (name, config_label, mut config) in worlds {
+        config.queries = ROUTED;
+        let fixture = RuntimeFixture::build(&config);
+        let queries: Vec<(Id, Id)> = fixture.queries().collect();
+        let mut aware = fixture.aware_table();
+        aware.sort_by_key(|&(node, _)| node);
+        let aux_of = |id: Id| {
+            aware
+                .binary_search_by_key(&id, |&(node, _)| node)
+                .map_or(&[][..], |at| aware[at].1.as_slice())
+        };
+        let overlay = fixture.overlay();
+        let mut route = || {
+            for &(from, key) in &queries {
+                std::hint::black_box(overlay.query_with_aux(from, key, aux_of));
+            }
+        };
+        let ns = time_median(profile.samples, profile.warmup, &mut route);
+        let alloc = allocs_per_op(queries.len() as u64, &mut route);
+        rows.push((name, config_label, queries.len() as u64, ns, alloc));
+    }
+    let mut push = kernel_rows(profile, calib, kernels, false);
+    for (name, config_label, lookups, ns, alloc) in rows {
+        push(name, config_label, lookups, 1, ns, alloc);
+    }
+}
+
 /// The churn recompute-tick pair at the fig-4 operating point (Pastry,
 /// `n = 1024`, `k = 10`, Zipf 1.2, 250 queries/tick): one tick of the
 /// pre-refactor full path — snapshot every counter, re-solve every
@@ -800,6 +874,8 @@ fn main() {
     churn_kernels(profile, calib, &mut kernels);
     println!("hot-world set-up layers (median of {}):", profile.samples);
     setup_kernels(profile, calib, &mut kernels);
+    println!("routing per lookup (median of {}):", profile.samples);
+    route_kernels(profile, calib, &mut kernels);
     println!("selection chunk sweep (median of {}):", profile.samples);
     chunk_sweep_kernels(profile, calib, &mut kernels);
     println!("end-to-end sweeps (median of {}):", profile.e2e_samples);

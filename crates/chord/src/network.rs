@@ -1,7 +1,5 @@
-use std::collections::BTreeMap;
-
 use peercache_faults::{arrive, clockwise_closest, FaultPlan, FaultedRoute, LookupFailure};
-use peercache_faults::{NetworkError, RouteTrace, StepScratch, Substrate, WalkStep};
+use peercache_faults::{Members, NetworkError, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 
 use crate::node::ChordNode;
@@ -50,7 +48,7 @@ impl ChordConfig {
 #[derive(Clone)]
 pub struct ChordNetwork {
     config: ChordConfig,
-    nodes: BTreeMap<u128, ChordNode>,
+    nodes: Members<ChordNode>,
 }
 
 impl ChordNetwork {
@@ -58,7 +56,7 @@ impl ChordNetwork {
     pub fn new(config: ChordConfig) -> Self {
         ChordNetwork {
             config,
-            nodes: BTreeMap::new(),
+            nodes: Members::new(),
         }
     }
 
@@ -69,14 +67,11 @@ impl ChordNetwork {
     /// Panics on duplicate or out-of-space ids — a bootstrap set is
     /// programmer input.
     pub fn build(config: ChordConfig, ids: &[Id]) -> Self {
-        let mut net = ChordNetwork::new(config);
-        for &id in ids {
+        let nodes = Members::load(ids.iter().map(|&id| {
             assert!(config.space.contains(id), "node id {id} outside id space");
-            let prev = net
-                .nodes
-                .insert(id.value(), ChordNode::new(id, config.space.bits()));
-            assert!(prev.is_none(), "duplicate node id {id}");
-        }
+            (id, ChordNode::new(id, config.space.bits()))
+        }));
+        let mut net = ChordNetwork { config, nodes };
         let all: Vec<Id> = net.live_ids();
         for &id in &all {
             net.refresh_from_truth(id);
@@ -101,42 +96,23 @@ impl ChordNetwork {
 
     /// Whether `id` is currently live.
     pub fn is_live(&self, id: Id) -> bool {
-        self.nodes.contains_key(&id.value())
+        self.nodes.contains(id)
     }
 
     /// All live node ids in ring order.
     pub fn live_ids(&self) -> Vec<Id> {
-        self.nodes.keys().map(|&k| Id::new(k)).collect()
+        self.nodes.ids().to_vec()
     }
 
     /// Immutable view of a node's state.
     pub fn node(&self, id: Id) -> Option<&ChordNode> {
-        self.nodes.get(&id.value())
-    }
-
-    /// The first live node strictly clockwise of `from`.
-    fn next_live(&self, from: Id) -> Option<Id> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        from.value()
-            .checked_add(1)
-            .and_then(|start| self.nodes.range(start..).next())
-            .or_else(|| self.nodes.iter().next())
-            .map(|(&k, _)| Id::new(k))
+        self.nodes.get(id)
     }
 
     /// The first live node at or counter-clockwise of `at` — the **true
     /// owner** of key `at` under the paper's predecessor assignment.
     pub fn true_owner(&self, key: Id) -> Option<Id> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        self.nodes
-            .range(..=key.value())
-            .next_back()
-            .or_else(|| self.nodes.iter().next_back())
-            .map(|(&k, _)| Id::new(k))
+        self.nodes.at_or_before(key)
     }
 
     /// The true successor list of `id` (next `len` live nodes clockwise),
@@ -145,7 +121,7 @@ impl ChordNetwork {
         out.clear();
         let mut cur = id;
         for _ in 0..self.config.successor_list_len {
-            match self.next_live(cur) {
+            match self.nodes.after(cur) {
                 Some(s) if s != id => {
                     out.push(s);
                     cur = s;
@@ -178,7 +154,7 @@ impl ChordNetwork {
             // falls inside [lo, hi_excl).
             let first = first_past
                 .take()
-                .or_else(|| self.next_live(space.sub(lo, 1)));
+                .or_else(|| self.nodes.after(space.sub(lo, 1)));
             let finger = first.filter(|&c| c != id && space.between_closed_open(lo, c, hi_excl));
             if finger.is_none() {
                 first_past = first;
@@ -191,31 +167,20 @@ impl ChordNetwork {
     /// periodic re-initialization the paper mentions in §III-2), written
     /// over the node's own buffers.
     fn refresh_from_truth(&mut self, id: Id) {
-        let Some(node) = self.nodes.get_mut(&id.value()) else {
+        let Some(node) = self.nodes.get_mut(id) else {
             return;
         };
         let mut successors = std::mem::take(&mut node.successors);
         let mut fingers = std::mem::take(&mut node.fingers);
         self.true_successors_into(id, &mut successors);
         self.true_fingers_into(id, &mut fingers);
-        let predecessor = self.true_predecessor(id);
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        // On a one-node ring the node precedes itself: no predecessor.
+        let predecessor = self.nodes.before(id).filter(|&p| p != id);
+        if let Some(node) = self.nodes.get_mut(id) {
             node.successors = successors;
             node.fingers = fingers;
             node.predecessor = predecessor;
         }
-    }
-
-    fn true_predecessor(&self, id: Id) -> Option<Id> {
-        if self.nodes.len() <= 1 {
-            return None;
-        }
-        self.nodes
-            .range(..id.value())
-            .next_back()
-            .or_else(|| self.nodes.iter().next_back())
-            .map(|(&k, _)| Id::new(k))
-            .filter(|&p| p != id)
     }
 
     // ---- membership ------------------------------------------------------
@@ -230,17 +195,17 @@ impl ChordNetwork {
         if !self.config.space.contains(id) {
             return Err(NetworkError::OutOfSpace(id));
         }
-        if self.nodes.contains_key(&id.value()) {
+        if self.nodes.contains(id) {
             return Err(NetworkError::AlreadyPresent(id));
         }
         self.nodes
-            .insert(id.value(), ChordNode::new(id, self.config.space.bits()));
+            .insert(id, ChordNode::new(id, self.config.space.bits()));
         self.refresh_from_truth(id);
         // Notify the successor so its predecessor pointer (and thus key
         // hand-off) is immediate; the predecessor's successor pointer
         // stays stale until its next stabilization.
-        if let Some(succ) = self.nodes[&id.value()].successor() {
-            if let Some(s) = self.nodes.get_mut(&succ.value()) {
+        if let Some(succ) = self.nodes.get(id).and_then(ChordNode::successor) {
+            if let Some(s) = self.nodes.get_mut(succ) {
                 s.predecessor = Some(id);
             }
         }
@@ -253,7 +218,7 @@ impl ChordNetwork {
     /// [`NetworkError::NotPresent`].
     pub fn fail(&mut self, id: Id) -> Result<(), NetworkError> {
         self.nodes
-            .remove(&id.value())
+            .remove(id)
             .map(|_| ())
             .ok_or(NetworkError::NotPresent(id))
     }
@@ -264,10 +229,7 @@ impl ChordNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn leave(&mut self, id: Id) -> Result<(), NetworkError> {
-        let node = self
-            .nodes
-            .remove(&id.value())
-            .ok_or(NetworkError::NotPresent(id))?;
+        let node = self.nodes.remove(id).ok_or(NetworkError::NotPresent(id))?;
         let succ = node.successors.iter().find(|s| self.is_live(**s)).copied();
         let pred = node.predecessor.filter(|p| self.is_live(*p));
         match (succ, pred) {
@@ -276,15 +238,15 @@ impl ChordNetwork {
             // leaves a one-node ring, with no successor and no
             // predecessor, rather than pointing at itself.
             (Some(succ), Some(pred)) if succ == pred => {
-                if let Some(s) = self.nodes.get_mut(&succ.value()) {
+                if let Some(s) = self.nodes.get_mut(succ) {
                     s.forget(id);
                 }
             }
             (Some(succ), Some(pred)) => {
-                if let Some(s) = self.nodes.get_mut(&succ.value()) {
+                if let Some(s) = self.nodes.get_mut(succ) {
                     s.predecessor = Some(pred);
                 }
-                if let Some(p) = self.nodes.get_mut(&pred.value()) {
+                if let Some(p) = self.nodes.get_mut(pred) {
                     p.forget(id);
                     if p.successors.first() != Some(&succ) {
                         p.successors.insert(0, succ);
@@ -309,7 +271,7 @@ impl ChordNetwork {
     pub fn stabilize(&mut self, id: Id) -> Result<(), NetworkError> {
         // 1. Prune dead beliefs (ping): successors, aux pointers and the
         //    predecessor, in place. Fingers are re-initialised in step 3.
-        let Some(node) = self.nodes.get_mut(&id.value()) else {
+        let Some(node) = self.nodes.get_mut(id) else {
             return Err(NetworkError::NotPresent(id));
         };
         let mut successors = std::mem::take(&mut node.successors);
@@ -322,9 +284,9 @@ impl ChordNetwork {
         //    refresh the tail of the successor list from the successor,
         //    written over the node's own buffer.
         let space = self.config.space;
+        // The pruned list holds live entries only, so its head has state.
         let succ = successors.first().copied();
-        if let Some(succ) = succ {
-            let s = &self.nodes[&succ.value()];
+        if let Some((succ, s)) = succ.and_then(|succ| self.nodes.get(succ).map(|s| (succ, s))) {
             let (s_pred, s_succs) = (s.predecessor, s.successors.as_slice());
             successors.clear();
             if let Some(p) = s_pred {
@@ -344,7 +306,7 @@ impl ChordNetwork {
                 }
             }
             successors.truncate(self.config.successor_list_len);
-        } else if let Some(s) = self.next_live(id).filter(|&s| s != id) {
+        } else if let Some(s) = self.nodes.after(id).filter(|&s| s != id) {
             // Lost every successor: re-acquire from any live belief, or —
             // as a last resort — re-bootstrap from the ring (the node
             // would re-join through an out-of-band bootstrap server).
@@ -353,7 +315,7 @@ impl ChordNetwork {
         // After a handshake, the head of its (never-empty) list is the
         // refreshed successor notified below.
         let notify = succ.and(successors.first().copied());
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.successors = successors;
             node.aux = aux;
             node.predecessor = predecessor;
@@ -361,12 +323,15 @@ impl ChordNetwork {
         // Notify: the successor adopts us as predecessor if we are closer
         // than its current belief.
         if let Some(new_succ) = notify {
-            let adopt = match self.nodes[&new_succ.value()].predecessor {
-                None => true,
-                Some(p) => p == id || space.between_open(p, id, new_succ) || !self.is_live(p),
-            };
+            let adopt = self
+                .nodes
+                .get(new_succ)
+                .is_some_and(|s| match s.predecessor {
+                    None => true,
+                    Some(p) => p == id || space.between_open(p, id, new_succ) || !self.is_live(p),
+                });
             if adopt {
-                if let Some(s) = self.nodes.get_mut(&new_succ.value()) {
+                if let Some(s) = self.nodes.get_mut(new_succ) {
                     s.predecessor = Some(id);
                 }
             }
@@ -374,11 +339,11 @@ impl ChordNetwork {
         // 3. Fix fingers (periodic re-initialization).
         let mut fingers = self
             .nodes
-            .get_mut(&id.value())
+            .get_mut(id)
             .map(|node| std::mem::take(&mut node.fingers))
             .unwrap_or_default();
         self.true_fingers_into(id, &mut fingers);
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.fingers = fingers;
         }
         Ok(())
@@ -401,13 +366,13 @@ impl ChordNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn set_aux(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
-        let mut live = match self.nodes.get_mut(&id.value()) {
+        let mut live = match self.nodes.get_mut(id) {
             Some(node) => std::mem::take(&mut node.aux),
             None => return Err(NetworkError::NotPresent(id)),
         };
         live.clear();
         live.extend(aux.iter().copied().filter(|&a| self.is_live(a)));
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.aux = live;
         }
         Ok(())
@@ -443,9 +408,7 @@ impl Substrate for ChordNetwork {
     }
 
     fn installed_aux(&self, id: Id) -> &[Id] {
-        self.nodes
-            .get(&id.value())
-            .map_or(&[], |n| n.aux.as_slice())
+        self.nodes.get(id).map_or(&[], |n| n.aux.as_slice())
     }
 
     /// One Chord arrival, read from the node's table in place: the
@@ -475,7 +438,7 @@ impl Substrate for ChordNetwork {
         // The walk only steps to probed-live candidates, so `current`
         // is always present; if the map ever disagrees, degrade to a
         // dead end rather than panic (rule L10).
-        let Some(node) = self.nodes.get(&current.value()) else {
+        let Some(node) = self.nodes.get(current) else {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
         arrive(
@@ -520,7 +483,7 @@ impl Substrate for ChordNetwork {
     }
 
     fn forget_neighbor(&mut self, id: Id, dead: Id) {
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.forget(dead);
         }
     }

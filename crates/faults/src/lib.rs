@@ -17,8 +17,10 @@
 //! cached-pointer read and [`FaultPlan::probe`] per contact attempt,
 //! owns the aux→core fallback and records what happened in a
 //! [`RouteTrace`]; the one driver loop, [`walk`], steps the arrivals
-//! from the origin. The substrates also share [`NetworkError`] and the
-//! ring decision [`clockwise_closest`]. All probability
+//! from the origin. The substrates also share [`NetworkError`], the
+//! ring decision [`clockwise_closest`] and their member store,
+//! [`Members`]: a hashed id → node-state map for the point lookups a hop
+//! makes and the sorted id ring for every ordered query. All probability
 //! handling happens once at plan construction (an `f64` rate becomes a
 //! 53-bit integer threshold), so the per-probe hot path — and every
 //! caller — is free of floating-point comparisons.
@@ -27,11 +29,13 @@
 #![warn(missing_docs)]
 
 mod liveness;
+mod members;
 mod plan;
 mod step;
 mod trace;
 
 pub use liveness::Liveness;
+pub use members::{IdHasher, Members};
 pub use plan::{FaultConfig, FaultPlan};
 pub use step::{arrive, clockwise_closest, walk, NetworkError, StepScratch, Substrate, WalkStep};
 pub use trace::{FaultedRoute, LookupFailure, RouteTrace};

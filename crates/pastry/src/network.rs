@@ -1,7 +1,8 @@
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use peercache_faults::{FaultPlan, FaultedRoute, NetworkError, RouteTrace, StepScratch};
-use peercache_faults::{Substrate, WalkStep};
+use peercache_faults::{FaultPlan, FaultedRoute, IdHasher, Members, NetworkError, RouteTrace};
+use peercache_faults::{StepScratch, Substrate, WalkStep};
 use peercache_id::{splitmix64, Id, IdSpace};
 use rand::Rng;
 
@@ -109,16 +110,16 @@ fn encounter_score(owner: Id, entry: Id) -> u64 {
     )
 }
 
-/// Fill `rows`, the routing table of `owner`. Cell `(l, c)` takes the
-/// id with the lowest [`encounter_score`] among those `ids_in` yields,
-/// in ascending order, for the cell's lowest and highest value; a tie
-/// keeps the first, the smaller id. The cells partition the ring, so
-/// the fill reads each id once and hashes it once.
-fn fill_rows<I: Iterator<Item = Id>>(
+/// Fill `rows`, the routing table of `owner`, from the live `members`.
+/// Cell `(l, c)` takes the id with the lowest [`encounter_score`] among
+/// the members in the cell's value range, read in ascending order; a tie
+/// keeps the first, the smaller id. The cells partition the ring, so the
+/// fill reads each id once and hashes it once.
+fn fill_rows(
     config: &PastryConfig,
     owner: Id,
     rows: &mut [Vec<Option<Id>>],
-    ids_in: impl Fn(u128, u128) -> I,
+    members: &Members<PastryNode>,
 ) {
     for (l, row) in (0u8..).zip(rows.iter_mut()) {
         for (c, cell) in (0u16..).zip(row.iter_mut()) {
@@ -129,10 +130,35 @@ fn fill_rows<I: Iterator<Item = Id>>(
             // a globally optimal fill would make the locality tie-break
             // degenerate (no auxiliary entry could ever win it).
             *cell = config.cell_range(owner, l, c).and_then(|(low, high)| {
-                ids_in(low, high).min_by_key(|&id| encounter_score(owner, id))
+                members
+                    .range(low, high)
+                    .iter()
+                    .copied()
+                    .min_by_key(|&id| encounter_score(owner, id))
             });
         }
     }
+}
+
+/// The true leaf set of `id` over the ascending live `ring`: the
+/// `leaf_half` ring neighbours per side (fewer on a small ring), in ring
+/// order, counter-clockwise half first. On a two-node ring the one other
+/// node is a counter-clockwise leaf only. Empty when `id` is not on the
+/// ring or is alone on it.
+fn ring_leaves(config: &PastryConfig, ring: &[Id], id: Id) -> Vec<Id> {
+    let n = ring.len();
+    let Ok(at) = ring.binary_search(&id) else {
+        return Vec::new();
+    };
+    if n <= 1 {
+        return Vec::new();
+    }
+    let take = config.leaf_half.min((n - 1) / 2).max(1);
+    let cw = if n == 2 { 0 } else { take };
+    (n - take..n)
+        .chain(1..=cw)
+        .filter_map(|j| ring.get((at + j) % n).copied())
+        .collect()
 }
 
 /// The whole simulated Pastry overlay.
@@ -159,8 +185,11 @@ pub struct PastryNetwork {
     config: PastryConfig,
     digit_count: u8,
     arity: usize,
-    nodes: BTreeMap<u128, PastryNode>,
-    coords: BTreeMap<u128, (f64, f64)>,
+    nodes: Members<PastryNode>,
+    /// Proximity coordinates per host. Kept apart from the members: a
+    /// failed node keeps its coordinates, which survivors still read
+    /// through their stale entries for it.
+    coords: HashMap<Id, (f64, f64), BuildHasherDefault<IdHasher>>,
 }
 
 impl PastryNetwork {
@@ -170,8 +199,8 @@ impl PastryNetwork {
             config,
             digit_count: config.digit_count,
             arity: 1usize << config.digit_bits,
-            nodes: BTreeMap::new(),
-            coords: BTreeMap::new(),
+            nodes: Members::new(),
+            coords: HashMap::default(),
         }
     }
 
@@ -182,30 +211,17 @@ impl PastryNetwork {
     /// Panics on duplicate or out-of-space ids.
     pub fn build<R: Rng + ?Sized>(config: PastryConfig, ids: &[Id], rng: &mut R) -> Self {
         let mut net = PastryNetwork::new(config);
-        for &id in ids {
+        let (digit_count, arity) = (net.digit_count, net.arity);
+        net.nodes = Members::load(ids.iter().map(|&id| {
             assert!(config.space.contains(id), "node id {id} outside id space");
-            let node = PastryNode::new(id, net.digit_count, net.arity);
-            assert!(
-                net.nodes.insert(id.value(), node).is_none(),
-                "duplicate node id {id}"
-            );
-            net.coords.insert(id.value(), (rng.gen(), rng.gen()));
+            (id, PastryNode::new(id, digit_count, arity))
+        }));
+        net.coords.reserve(ids.len());
+        for &id in ids {
+            net.coords.insert(id, (rng.gen(), rng.gen()));
         }
-        // One sorted snapshot of the ring; each node's table is filled in
-        // place, each cell from its id range in the snapshot.
-        let ring = net.live_ids();
-        for node in net.nodes.values_mut() {
-            fill_rows(&config, node.id, &mut node.rows, |low, high| {
-                let lo = ring.partition_point(|x| x.value() < low);
-                let hi = ring.partition_point(|x| x.value() <= high);
-                ring[lo..hi].iter().copied()
-            });
-        }
-        for &id in &ring {
-            let leaves = net.true_leaves(id);
-            if let Some(node) = net.nodes.get_mut(&id.value()) {
-                node.leaves = leaves;
-            }
+        for id in net.live_ids() {
+            net.refresh_from_truth(id);
         }
         net
     }
@@ -227,17 +243,17 @@ impl PastryNetwork {
 
     /// Whether `id` is live.
     pub fn is_live(&self, id: Id) -> bool {
-        self.nodes.contains_key(&id.value())
+        self.nodes.contains(id)
     }
 
     /// All live node ids in ring order.
     pub fn live_ids(&self) -> Vec<Id> {
-        self.nodes.keys().map(|&k| Id::new(k)).collect()
+        self.nodes.ids().to_vec()
     }
 
     /// Immutable view of a node.
     pub fn node(&self, id: Id) -> Option<&PastryNode> {
-        self.nodes.get(&id.value())
+        self.nodes.get(id)
     }
 
     /// Synthetic latency between two hosts. An id with no coordinates —
@@ -246,9 +262,7 @@ impl PastryNetwork {
     /// locality tie-break but stays eligible on prefix progress, and the
     /// probe to it then times out.
     pub fn proximity(&self, a: Id, b: Id) -> f64 {
-        let (Some(&(ax, ay)), Some(&(bx, by))) =
-            (self.coords.get(&a.value()), self.coords.get(&b.value()))
-        else {
+        let (Some(&(ax, ay)), Some(&(bx, by))) = (self.coords.get(&a), self.coords.get(&b)) else {
             return f64::INFINITY;
         };
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
@@ -257,23 +271,10 @@ impl PastryNetwork {
     /// The **true owner** of `key`: the numerically closest live node
     /// (ties broken toward the smaller id).
     pub fn true_owner(&self, key: Id) -> Option<Id> {
-        if self.nodes.is_empty() {
-            return None;
-        }
         // Only the ring predecessor and successor of the key can be
         // closest.
-        let pred = self
-            .nodes
-            .range(..=key.value())
-            .next_back()
-            .or_else(|| self.nodes.iter().next_back())
-            .map(|(&k, _)| Id::new(k))?;
-        let succ = key
-            .value()
-            .checked_add(1)
-            .and_then(|s| self.nodes.range(s..).next())
-            .or_else(|| self.nodes.iter().next())
-            .map(|(&k, _)| Id::new(k))?;
+        let pred = self.nodes.at_or_before(key)?;
+        let succ = self.nodes.after(key)?;
         let (dp, ds) = (
             self.config.ring_abs(pred, key),
             self.config.ring_abs(succ, key),
@@ -291,67 +292,17 @@ impl PastryNetwork {
         })
     }
 
-    /// True leaf set of `id`: `leaf_half` ring neighbors per side
-    /// (counter-clockwise first, ring order).
-    fn true_leaves(&self, id: Id) -> Vec<Id> {
-        let n = self.nodes.len();
-        if n <= 1 {
-            return Vec::new();
-        }
-        let take = self.config.leaf_half.min((n - 1) / 2).max(1);
-        let mut ccw = Vec::with_capacity(take);
-        let mut cw = Vec::with_capacity(take);
-        let mut cur = id.value();
-        for _ in 0..take.min(n - 1) {
-            let Some(prev) = self
-                .nodes
-                .range(..cur)
-                .next_back()
-                .or_else(|| self.nodes.iter().next_back())
-                .map(|(&k, _)| k)
-            else {
-                break;
-            };
-            if prev == id.value() || ccw.contains(&prev) {
-                break;
-            }
-            ccw.push(prev);
-            cur = prev;
-        }
-        cur = id.value();
-        for _ in 0..take.min(n - 1) {
-            let Some(next) = cur
-                .checked_add(1)
-                .and_then(|s| self.nodes.range(s..).next())
-                .or_else(|| self.nodes.iter().next())
-                .map(|(&k, _)| k)
-            else {
-                break;
-            };
-            if next == id.value() || cw.contains(&next) || ccw.contains(&next) {
-                break;
-            }
-            cw.push(next);
-            cur = next;
-        }
-        ccw.reverse();
-        ccw.into_iter().chain(cw).map(Id::new).collect()
-    }
-
     /// Rebuild a node's core state from global truth (bootstrap / the
     /// periodic repair that models Pastry's maintenance), filling the
     /// node's own table in place.
     pub fn refresh_from_truth(&mut self, id: Id) {
-        let leaves = self.true_leaves(id);
-        let Some(node) = self.nodes.get_mut(&id.value()) else {
+        let Some(node) = self.nodes.get_mut(id) else {
             return;
         };
         let mut rows = std::mem::take(&mut node.rows);
-        let nodes = &self.nodes;
-        fill_rows(&self.config, id, &mut rows, |low, high| {
-            nodes.range(low..=high).map(|(&k, _)| Id::new(k))
-        });
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        fill_rows(&self.config, id, &mut rows, &self.nodes);
+        let leaves = ring_leaves(&self.config, self.nodes.ids(), id);
+        if let Some(node) = self.nodes.get_mut(id) {
             node.leaves = leaves;
             node.rows = rows;
         }
@@ -376,21 +327,20 @@ impl PastryNetwork {
         if !self.config.space.contains(id) {
             return Err(NetworkError::OutOfSpace(id));
         }
-        if self.nodes.contains_key(&id.value()) {
+        if self.nodes.contains(id) {
             return Err(NetworkError::AlreadyPresent(id));
         }
-        self.nodes.insert(
-            id.value(),
-            PastryNode::new(id, self.digit_count, self.arity),
-        );
-        self.coords.insert(id.value(), coord); // refreshed on re-join
+        self.nodes
+            .insert(id, PastryNode::new(id, self.digit_count, self.arity));
+        self.coords.insert(id, coord); // refreshed on re-join
         self.refresh_from_truth(id);
         // Announce to leaf-set members: they refresh their own leaf sets
         // (and learn the newcomer for their tables opportunistically).
-        for member in self.nodes[&id.value()].leaves.clone() {
-            let leaves = self.true_leaves(member);
+        let announced = self.nodes.get(id).map(|n| n.leaves.clone());
+        for member in announced.unwrap_or_default() {
+            let leaves = ring_leaves(&self.config, self.nodes.ids(), member);
             let l = self.config.lcp(member, id);
-            if let Some(m) = self.nodes.get_mut(&member.value()) {
+            if let Some(m) = self.nodes.get_mut(member) {
                 m.leaves = leaves;
                 if l < self.digit_count {
                     // fill the table cell if empty (no proximity probe on
@@ -412,9 +362,7 @@ impl PastryNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn fail(&mut self, id: Id) -> Result<(), NetworkError> {
-        self.nodes
-            .remove(&id.value())
-            .ok_or(NetworkError::NotPresent(id))?;
+        self.nodes.remove(id).ok_or(NetworkError::NotPresent(id))?;
         // Coordinates describe the physical host and are kept: survivors
         // still hold (stale) entries for the corpse and evaluate their
         // proximity before probing them.
@@ -427,16 +375,13 @@ impl PastryNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn leave(&mut self, id: Id) -> Result<(), NetworkError> {
-        let node = self
-            .nodes
-            .remove(&id.value())
-            .ok_or(NetworkError::NotPresent(id))?;
+        let node = self.nodes.remove(id).ok_or(NetworkError::NotPresent(id))?;
         for member in node.leaves {
             if !self.is_live(member) {
                 continue;
             }
-            let leaves = self.true_leaves(member);
-            if let Some(m) = self.nodes.get_mut(&member.value()) {
+            let leaves = ring_leaves(&self.config, self.nodes.ids(), member);
+            if let Some(m) = self.nodes.get_mut(member) {
                 m.forget(id);
                 m.leaves = leaves;
             }
@@ -452,13 +397,13 @@ impl PastryNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn set_aux(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
-        let mut live = match self.nodes.get_mut(&id.value()) {
+        let mut live = match self.nodes.get_mut(id) {
             Some(node) => std::mem::take(&mut node.aux),
             None => return Err(NetworkError::NotPresent(id)),
         };
         live.clear();
         live.extend(aux.iter().copied().filter(|&a| self.is_live(a)));
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.aux = live;
         }
         Ok(())
@@ -493,9 +438,7 @@ impl Substrate for PastryNetwork {
     }
 
     fn installed_aux(&self, id: Id) -> &[Id] {
-        self.nodes
-            .get(&id.value())
-            .map_or(&[], |n| n.aux.as_slice())
+        self.nodes.get(id).map_or(&[], |n| n.aux.as_slice())
     }
 
     /// One Pastry arrival: the forwarding rule shared with
@@ -514,7 +457,7 @@ impl Substrate for PastryNetwork {
     }
 
     fn forget_neighbor(&mut self, id: Id, dead: Id) {
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.forget(dead);
         }
     }

@@ -185,6 +185,15 @@ fn is_usable(current: Id, dead: &[(Id, Id)], w: Id) -> bool {
     w != current && !dead.iter().any(|&(p, t)| p == current && t == w)
 }
 
+/// The running best of the prefix-progress pass: the candidate, its
+/// shared-digit count with the key and, once a tie asked for it, its
+/// proximity to the current node.
+struct Progress {
+    id: Id,
+    shared: u8,
+    proximity: Option<f64>,
+}
+
 /// Pastry's next-hop decision at `current` for `key` over its leaf set,
 /// routing table and the auxiliary set `extra` (`None` = `current`
 /// believes it is the destination):
@@ -198,7 +207,12 @@ fn is_usable(current: Id, dead: &[(Id, Id)], w: Id) -> bool {
 /// 3. numerically closer at the same prefix length.
 ///
 /// Every ranking is a total order over distinct ids, so the choice is
-/// independent of the order candidates are visited in.
+/// independent of the order candidates are visited in. That is what lets
+/// step 2 decide in one pass: it visits each candidate once, computes
+/// its shared-digit count once and keeps the running best under the
+/// order (most shared digits, then the mode's tie-break), computing the
+/// best's proximity at most once — the same pick as taking the longest
+/// prefix first and then the tie-break's minimum among those sharing it.
 fn next_hop<'t, T: PrefixTable>(
     table: &'t T,
     node: T::Node<'t>,
@@ -233,33 +247,58 @@ fn next_hop<'t, T: PrefixTable>(
 
     // 2. Prefix progress: of the table, only cell (l, key digit l) can
     //    share more than `l` digits with the key (see the module docs).
+    //    Both modes narrow to the candidates advancing the prefix the
+    //    furthest; they differ in the tie-break among them: FreePastry
+    //    takes the one nearest in proximity space (§VI-D), the greedy
+    //    mode the one numerically closest to the key.
     let l = config.lcp(current, key);
     let shared = |w: Id| config.lcp(w, key);
     let cell = space
         .digit(key, l, config.digit_bits)
         .ok()
         .and_then(|col| table.cell(node, l, col));
-    let progress = || {
-        leaves(table, node)
-            .chain(extra.iter().copied())
-            .chain(cell)
-            .filter(|&w| usable(w) && shared(w) > l)
-    };
-    if let Some(best) = progress().map(shared).max() {
-        let bucket = progress().filter(|&w| shared(w) == best);
-        // Both modes narrow to the candidates advancing the prefix the
-        // furthest; they differ in the tie-break among them: FreePastry
-        // takes the one nearest in proximity space (§VI-D), the greedy
-        // mode the one numerically closest to the key.
-        return match config.mode {
-            RoutingMode::LocalityAware => bucket.min_by(|&a, &b| {
-                table
-                    .proximity(current, a)
-                    .total_cmp(&table.proximity(current, b))
-                    .then(a.cmp(&b))
-            }),
-            RoutingMode::GreedyPrefix => bucket.min_by_key(|&w| closeness(w)),
-        };
+    let mut best: Option<Progress> = None;
+    for w in leaves(table, node).chain(extra.iter().copied()).chain(cell) {
+        if !usable(w) {
+            continue;
+        }
+        let s = shared(w);
+        if s <= l {
+            continue;
+        }
+        match best.as_mut() {
+            Some(b) if s < b.shared => {}
+            Some(b) if s == b.shared => match config.mode {
+                RoutingMode::LocalityAware => {
+                    let near = table.proximity(current, w);
+                    let held = *b
+                        .proximity
+                        .get_or_insert_with(|| table.proximity(current, b.id));
+                    if near.total_cmp(&held).then(w.cmp(&b.id)).is_lt() {
+                        *b = Progress {
+                            id: w,
+                            shared: s,
+                            proximity: Some(near),
+                        };
+                    }
+                }
+                RoutingMode::GreedyPrefix => {
+                    if closeness(w) < closeness(b.id) {
+                        b.id = w;
+                    }
+                }
+            },
+            _ => {
+                best = Some(Progress {
+                    id: w,
+                    shared: s,
+                    proximity: None,
+                });
+            }
+        }
+    }
+    if let Some(best) = best {
+        return Some(best.id);
     }
 
     // 3. Same prefix length but numerically closer; table rows below `l`

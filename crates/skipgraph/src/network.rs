@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 
 use peercache_faults::{arrive, clockwise_closest, FaultPlan, FaultedRoute, LookupFailure};
-use peercache_faults::{NetworkError, RouteTrace, StepScratch, Substrate, WalkStep};
+use peercache_faults::{Members, NetworkError, RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 
 /// Configuration of a skip-graph deployment.
@@ -51,6 +51,16 @@ pub struct SkipNode {
 }
 
 impl SkipNode {
+    /// A node with no links yet.
+    fn new(id: Id) -> Self {
+        SkipNode {
+            id,
+            mv: membership_vector(id),
+            levels: Vec::new(),
+            aux: Vec::new(),
+        }
+    }
+
     /// All distinct known nodes (level links + auxiliaries).
     pub fn known_neighbors(&self) -> Vec<Id> {
         let mut out: Vec<Id> = self
@@ -119,7 +129,7 @@ impl SkipNode {
 #[derive(Clone)]
 pub struct SkipGraphNetwork {
     config: SkipGraphConfig,
-    nodes: BTreeMap<u128, SkipNode>,
+    nodes: Members<SkipNode>,
 }
 
 impl SkipGraphNetwork {
@@ -127,7 +137,7 @@ impl SkipGraphNetwork {
     pub fn new(config: SkipGraphConfig) -> Self {
         SkipGraphNetwork {
             config,
-            nodes: BTreeMap::new(),
+            nodes: Members::new(),
         }
     }
 
@@ -136,20 +146,11 @@ impl SkipGraphNetwork {
     /// # Panics
     /// Panics on duplicate or out-of-space ids.
     pub fn build(config: SkipGraphConfig, ids: &[Id]) -> Self {
-        let mut net = SkipGraphNetwork::new(config);
-        for &id in ids {
+        let nodes = Members::load(ids.iter().map(|&id| {
             assert!(config.space.contains(id), "node id {id} outside key space");
-            let node = SkipNode {
-                id,
-                mv: membership_vector(id),
-                levels: Vec::new(),
-                aux: Vec::new(),
-            };
-            assert!(
-                net.nodes.insert(id.value(), node).is_none(),
-                "duplicate node id {id}"
-            );
-        }
+            (id, SkipNode::new(id))
+        }));
+        let mut net = SkipGraphNetwork { config, nodes };
         net.rebuild_all();
         net
     }
@@ -171,29 +172,22 @@ impl SkipGraphNetwork {
 
     /// Whether `id` is live.
     pub fn is_live(&self, id: Id) -> bool {
-        self.nodes.contains_key(&id.value())
+        self.nodes.contains(id)
     }
 
     /// All live node ids in key order.
     pub fn live_ids(&self) -> Vec<Id> {
-        self.nodes.keys().map(|&k| Id::new(k)).collect()
+        self.nodes.ids().to_vec()
     }
 
     /// Immutable view of a node.
     pub fn node(&self, id: Id) -> Option<&SkipNode> {
-        self.nodes.get(&id.value())
+        self.nodes.get(id)
     }
 
     /// The true owner of `key`: its predecessor on the key ring.
     pub fn true_owner(&self, key: Id) -> Option<Id> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        self.nodes
-            .range(..=key.value())
-            .next_back()
-            .or_else(|| self.nodes.iter().next_back())
-            .map(|(&k, _)| Id::new(k))
+        self.nodes.at_or_before(key)
     }
 
     /// Recompute every node's level links from global truth: level `i`
@@ -201,7 +195,7 @@ impl SkipGraphNetwork {
     /// prefix; each partition is a cyclic list in key order.
     pub fn rebuild_all(&mut self) {
         let ids = self.live_ids();
-        let mvs: Vec<u64> = ids.iter().map(|id| self.nodes[&id.value()].mv).collect();
+        let mvs: Vec<u64> = ids.iter().map(|&id| membership_vector(id)).collect();
         let mut links: Vec<Vec<Option<Id>>> = vec![Vec::new(); ids.len()];
         let mut level = 0u32;
         let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -236,11 +230,10 @@ impl SkipGraphNetwork {
                 break;
             }
         }
-        for (idx, id) in ids.iter().enumerate() {
-            self.nodes
-                .get_mut(&id.value())
-                .expect("relinked node is live")
-                .levels = std::mem::take(&mut links[idx]);
+        for (&id, levels) in ids.iter().zip(links) {
+            if let Some(node) = self.nodes.get_mut(id) {
+                node.levels = levels;
+            }
         }
     }
 
@@ -252,15 +245,9 @@ impl SkipGraphNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn refresh_node(&mut self, id: Id) -> Result<(), NetworkError> {
-        let me = self
-            .nodes
-            .get(&id.value())
-            .ok_or(NetworkError::NotPresent(id))?;
-        let my_mv = me.mv;
-        let ids = self.live_ids();
-        let start = ids
-            .binary_search(&id)
-            .expect("live node is in the live list");
+        let my_mv = self.nodes.get(id).ok_or(NetworkError::NotPresent(id))?.mv;
+        let ids = self.nodes.ids();
+        let start = ids.partition_point(|&w| w < id);
         let mut levels = Vec::new();
         for level in 0u32..=64 {
             let mask = if level == 0 {
@@ -273,7 +260,7 @@ impl SkipGraphNetwork {
             let mut found = None;
             for step in 1..ids.len() {
                 let w = ids[(start + step) % ids.len()];
-                if self.nodes[&w.value()].mv & mask == my_mv & mask {
+                if membership_vector(w) & mask == my_mv & mask {
                     found = Some(w);
                     break;
                 }
@@ -284,10 +271,9 @@ impl SkipGraphNetwork {
                 break;
             }
         }
-        self.nodes
-            .get_mut(&id.value())
-            .expect("relinked node is live")
-            .levels = levels;
+        if let Some(node) = self.nodes.get_mut(id) {
+            node.levels = levels;
+        }
         Ok(())
     }
 
@@ -300,18 +286,10 @@ impl SkipGraphNetwork {
         if !self.config.space.contains(id) {
             return Err(NetworkError::OutOfSpace(id));
         }
-        if self.nodes.contains_key(&id.value()) {
+        if self.nodes.contains(id) {
             return Err(NetworkError::AlreadyPresent(id));
         }
-        self.nodes.insert(
-            id.value(),
-            SkipNode {
-                id,
-                mv: membership_vector(id),
-                levels: Vec::new(),
-                aux: Vec::new(),
-            },
-        );
+        self.nodes.insert(id, SkipNode::new(id));
         self.rebuild_all();
         Ok(())
     }
@@ -324,7 +302,7 @@ impl SkipGraphNetwork {
     /// [`NetworkError::NotPresent`].
     pub fn fail(&mut self, id: Id) -> Result<(), NetworkError> {
         self.nodes
-            .remove(&id.value())
+            .remove(id)
             .map(|_| ())
             .ok_or(NetworkError::NotPresent(id))
     }
@@ -337,13 +315,13 @@ impl SkipGraphNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn set_aux(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
-        let mut live = match self.nodes.get_mut(&id.value()) {
+        let mut live = match self.nodes.get_mut(id) {
             Some(node) => std::mem::take(&mut node.aux),
             None => return Err(NetworkError::NotPresent(id)),
         };
         live.clear();
         live.extend(aux.iter().copied().filter(|&a| self.is_live(a)));
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.aux = live;
         }
         Ok(())
@@ -376,9 +354,7 @@ impl Substrate for SkipGraphNetwork {
     }
 
     fn installed_aux(&self, id: Id) -> &[Id] {
-        self.nodes
-            .get(&id.value())
-            .map_or(&[], |n| n.aux.as_slice())
+        self.nodes.get(id).map_or(&[], |n| n.aux.as_slice())
     }
 
     /// One skip-graph arrival, read from the node's links in place: the
@@ -405,7 +381,7 @@ impl Substrate for SkipGraphNetwork {
         // The walk only steps to probed-live candidates, so `current`
         // is always present; if the map ever disagrees, degrade to a
         // dead end rather than panic (rule L10).
-        let Some(node) = self.nodes.get(&current.value()) else {
+        let Some(node) = self.nodes.get(current) else {
             return WalkStep::Done(Err(LookupFailure::DeadEnd(current)));
         };
         arrive(
@@ -427,7 +403,7 @@ impl Substrate for SkipGraphNetwork {
     }
 
     fn forget_neighbor(&mut self, id: Id, dead: Id) {
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.forget(dead);
         }
     }

@@ -1,6 +1,4 @@
-use std::collections::BTreeMap;
-
-use peercache_faults::{arrive, FaultPlan, FaultedRoute, LookupFailure, NetworkError};
+use peercache_faults::{arrive, FaultPlan, FaultedRoute, LookupFailure, Members, NetworkError};
 use peercache_faults::{RouteTrace, StepScratch, Substrate, WalkStep};
 use peercache_id::{Id, IdSpace};
 
@@ -118,7 +116,7 @@ pub struct TapestryNetwork {
     config: TapestryConfig,
     digit_count: u8,
     arity: usize,
-    nodes: BTreeMap<u128, TapestryNode>,
+    nodes: Members<TapestryNode>,
 }
 
 impl TapestryNetwork {
@@ -132,7 +130,7 @@ impl TapestryNetwork {
             config,
             digit_count,
             arity: 1usize << config.digit_bits,
-            nodes: BTreeMap::new(),
+            nodes: Members::new(),
         }
     }
 
@@ -142,14 +140,11 @@ impl TapestryNetwork {
     /// Panics on duplicate or out-of-space ids.
     pub fn build(config: TapestryConfig, ids: &[Id]) -> Self {
         let mut net = TapestryNetwork::new(config);
-        for &id in ids {
+        let (digit_count, arity) = (net.digit_count, net.arity);
+        net.nodes = Members::load(ids.iter().map(|&id| {
             assert!(config.space.contains(id), "node id {id} outside id space");
-            let node = TapestryNode::new(id, net.digit_count, net.arity);
-            assert!(
-                net.nodes.insert(id.value(), node).is_none(),
-                "duplicate node id {id}"
-            );
-        }
+            (id, TapestryNode::new(id, digit_count, arity))
+        }));
         for &id in ids {
             net.refresh_from_truth(id);
         }
@@ -173,17 +168,17 @@ impl TapestryNetwork {
 
     /// Whether `id` is live.
     pub fn is_live(&self, id: Id) -> bool {
-        self.nodes.contains_key(&id.value())
+        self.nodes.contains(id)
     }
 
     /// All live node ids in order.
     pub fn live_ids(&self) -> Vec<Id> {
-        self.nodes.keys().map(|&k| Id::new(k)).collect()
+        self.nodes.ids().to_vec()
     }
 
     /// Immutable view of a node.
     pub fn node(&self, id: Id) -> Option<&TapestryNode> {
-        self.nodes.get(&id.value())
+        self.nodes.get(id)
     }
 
     fn digit(&self, id: Id, row: u8) -> usize {
@@ -203,8 +198,39 @@ impl TapestryNetwork {
     /// The key's **surrogate root**: resolve digits left to right over the
     /// live membership; where no survivor matches the key's digit, bump
     /// the digit cyclically to the next value some survivor has
-    /// (Tapestry's deterministic surrogate rule).
+    /// (Tapestry's deterministic surrogate rule). Of the last survivors,
+    /// the smallest id is the root.
+    ///
+    /// The survivors of each row share every digit resolved so far, so
+    /// they are one contiguous run of the sorted ring, and within it their
+    /// digit at the row ascends: two binary searches per row narrow the
+    /// run, with no survivor list built.
     pub fn true_owner(&self, key: Id) -> Option<Id> {
+        let mut run = self.nodes.ids();
+        for row in 0..self.digit_count {
+            if run.len() <= 1 {
+                break;
+            }
+            let digit = |w: &Id| self.digit(*w, row);
+            // The key's digit if a survivor has it, else the next larger
+            // one some survivor has, else (cyclically) the smallest.
+            let want = self.digit(key, row);
+            let at_or_above = run.partition_point(|w| digit(w) < want);
+            let Some(v) = run.get(at_or_above).or(run.first()).map(digit) else {
+                break;
+            };
+            let start = run.partition_point(|w| digit(w) < v);
+            let end = run.partition_point(|w| digit(w) <= v);
+            run = run.get(start..end).unwrap_or(run);
+        }
+        run.first().copied()
+    }
+
+    /// The surrogate root by filtering a survivor list digit by digit —
+    /// the reference [`true_owner`](Self::true_owner)'s run narrowing must
+    /// agree with.
+    #[cfg(test)]
+    fn true_owner_by_filter(&self, key: Id) -> Option<Id> {
         if self.nodes.is_empty() {
             return None;
         }
@@ -235,8 +261,7 @@ impl TapestryNetwork {
     /// node — the deterministic rule that keeps surrogate roots unique.
     pub fn refresh_from_truth(&mut self, id: Id) {
         let mut rows = vec![vec![None; self.arity]; self.digit_count as usize];
-        for &other_raw in self.nodes.keys() {
-            let other = Id::new(other_raw);
+        for &other in self.nodes.ids() {
             if other == id {
                 continue;
             }
@@ -246,13 +271,12 @@ impl TapestryNetwork {
             }
             let col = self.digit(other, l);
             let cell: &mut Option<Id> = &mut rows[l as usize][col];
-            // BTreeMap iteration is id-ascending, so first fill wins =
-            // smallest id.
+            // The ring is id-ascending, so first fill wins = smallest id.
             if cell.is_none() {
                 *cell = Some(other);
             }
         }
-        let node = self.nodes.get_mut(&id.value()).expect("live node");
+        let node = self.nodes.get_mut(id).expect("live node");
         node.rows = rows;
     }
 
@@ -271,13 +295,11 @@ impl TapestryNetwork {
         if !self.config.space.contains(id) {
             return Err(NetworkError::OutOfSpace(id));
         }
-        if self.nodes.contains_key(&id.value()) {
+        if self.nodes.contains(id) {
             return Err(NetworkError::AlreadyPresent(id));
         }
-        self.nodes.insert(
-            id.value(),
-            TapestryNode::new(id, self.digit_count, self.arity),
-        );
+        self.nodes
+            .insert(id, TapestryNode::new(id, self.digit_count, self.arity));
         self.refresh_from_truth(id);
         Ok(())
     }
@@ -288,7 +310,7 @@ impl TapestryNetwork {
     /// [`NetworkError::NotPresent`].
     pub fn fail(&mut self, id: Id) -> Result<(), NetworkError> {
         self.nodes
-            .remove(&id.value())
+            .remove(id)
             .map(|_| ())
             .ok_or(NetworkError::NotPresent(id))
     }
@@ -301,13 +323,13 @@ impl TapestryNetwork {
     /// # Errors
     /// [`NetworkError::NotPresent`].
     pub fn set_aux(&mut self, id: Id, aux: &[Id]) -> Result<(), NetworkError> {
-        let mut live = match self.nodes.get_mut(&id.value()) {
+        let mut live = match self.nodes.get_mut(id) {
             Some(node) => std::mem::take(&mut node.aux),
             None => return Err(NetworkError::NotPresent(id)),
         };
         live.clear();
         live.extend(aux.iter().copied().filter(|&a| self.is_live(a)));
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.aux = live;
         }
         Ok(())
@@ -402,9 +424,7 @@ impl Substrate for TapestryNetwork {
     }
 
     fn installed_aux(&self, id: Id) -> &[Id] {
-        self.nodes
-            .get(&id.value())
-            .map_or(&[], |n| n.aux.as_slice())
+        self.nodes.get(id).map_or(&[], |n| n.aux.as_slice())
     }
 
     /// One Tapestry arrival, read from the node's table in place: the
@@ -428,7 +448,7 @@ impl Substrate for TapestryNetwork {
         }
         // A walk only arrives at live members; a node without state knows
         // no next hop, so degrade to its terminal verdict (rule L10).
-        let Some(node) = self.nodes.get(&current.value()) else {
+        let Some(node) = self.nodes.get(current) else {
             return WalkStep::Done(if current == true_owner {
                 Ok(current)
             } else {
@@ -458,8 +478,84 @@ impl Substrate for TapestryNetwork {
     }
 
     fn forget_neighbor(&mut self, id: Id, dead: Id) {
-        if let Some(node) = self.nodes.get_mut(&id.value()) {
+        if let Some(node) = self.nodes.get_mut(id) {
             node.forget(dead);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use peercache_id::splitmix64;
+
+    /// `n` distinct ids of `space` from a seeded SplitMix64 stream.
+    fn membership(space: IdSpace, n: usize, seed: u64) -> Vec<Id> {
+        let mut ids = Vec::with_capacity(n);
+        let mut h = seed;
+        while ids.len() < n {
+            h = splitmix64(h);
+            let id = space.normalize(u128::from(h));
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        ids
+    }
+
+    fn assert_owners_agree(net: &TapestryNetwork, keys: &[Id]) {
+        for &key in keys {
+            assert_eq!(
+                net.true_owner(key),
+                net.true_owner_by_filter(key),
+                "surrogate root of {key} (d = {})",
+                net.config().digit_bits
+            );
+        }
+    }
+
+    #[test]
+    fn run_narrowing_agrees_with_the_filter_at_every_digit_width() {
+        // d = 3 leaves a ragged final digit in the 32-bit space.
+        let space = IdSpace::paper();
+        for d in 1..=4 {
+            for seed in 0..6u64 {
+                let n = [2, 3, 17, 64, 200, 300][usize::try_from(seed).unwrap()];
+                let ids = membership(space, n, seed);
+                let net = TapestryNetwork::build(TapestryConfig::new(space, d), &ids);
+                let mut keys = membership(space, 200, seed ^ 0xABCD);
+                keys.extend(&ids);
+                assert_owners_agree(&net, &keys);
+            }
+        }
+    }
+
+    #[test]
+    fn run_narrowing_agrees_with_the_filter_in_a_dense_space() {
+        // Memberships filling up to the whole 8-bit space, every key.
+        let space = IdSpace::new(8).unwrap();
+        let keys: Vec<Id> = (0..256u128).map(Id::new).collect();
+        for d in 1..=4 {
+            for (seed, n) in [(1u64, 2usize), (2, 40), (3, 128), (4, 250), (5, 256)] {
+                let ids = membership(space, n, seed);
+                let net = TapestryNetwork::build(TapestryConfig::new(space, d), &ids);
+                assert_owners_agree(&net, &keys);
+            }
+        }
+    }
+
+    #[test]
+    fn one_member_is_every_key_s_root() {
+        let space = IdSpace::new(8).unwrap();
+        for d in 1..=4 {
+            let net = TapestryNetwork::build(TapestryConfig::new(space, d), &[Id::new(77)]);
+            for key in (0..256u128).map(Id::new) {
+                assert_eq!(net.true_owner(key), Some(Id::new(77)));
+                assert_eq!(net.true_owner_by_filter(key), Some(Id::new(77)));
+            }
+        }
+        let empty = TapestryNetwork::new(TapestryConfig::new(space, 2));
+        assert_eq!(empty.true_owner(Id::new(5)), None);
+        assert_eq!(empty.true_owner_by_filter(Id::new(5)), None);
     }
 }
