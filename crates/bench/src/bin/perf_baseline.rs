@@ -12,6 +12,9 @@
 //! * the greedy Pastry trie DP through a reused [`PastryWorkspace`] and
 //!   the exact per-row DP;
 //! * Space-Saving stream updates;
+//! * the churn driver's recompute tick: the full and the incremental
+//!   Pastry ticks at the fig-4 operating point, and the incremental
+//!   Chord tick at the benchmark's `churn_chord` operating point;
 //! * the hot Pastry world's serial set-up layers, per node and
 //!   informational: the frequency-oblivious baseline draw as the stable
 //!   set-up runs it, and the Pastry network build;
@@ -554,6 +557,26 @@ fn route_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>)
     }
 }
 
+/// The full and the incremental recompute benches at `config`, after
+/// the parity cross-check: three ticks in which the two paths must
+/// install identical selections.
+fn churn_bench_pair(
+    config: &ChurnConfig,
+    queries_per_tick: usize,
+) -> (ChurnRecomputeBench, ChurnRecomputeBench) {
+    let mut full = ChurnRecomputeBench::new(config, queries_per_tick);
+    let mut incremental = ChurnRecomputeBench::new(config, queries_per_tick);
+    for tick in 0..3 {
+        let (a, b) = (full.tick_full(), incremental.tick_incremental());
+        assert_eq!(
+            a, b,
+            "{:?}: full and incremental recompute diverged at warmup tick {tick}",
+            config.kind
+        );
+    }
+    (full, incremental)
+}
+
 /// The churn recompute-tick pair at the fig-4 operating point (Pastry,
 /// `n = 1024`, `k = 10`, Zipf 1.2, 250 queries/tick): one tick of the
 /// pre-refactor full path — snapshot every counter, re-solve every
@@ -565,27 +588,21 @@ fn route_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>)
 /// in-bench restatement of the bit-identity contract the differential
 /// tests pin. The incremental tick is also held to the zero-alloc
 /// workspace contract.
+///
+/// `churn_recompute_chord` is the incremental tick at the benchmark's
+/// `churn_chord` operating point (Chord, `n = 1024`, paper defaults,
+/// 250 queries/tick), after the same parity check: there the dirty
+/// nodes re-solve through the Chord DP, or take their whole pool when
+/// `k` covers it, through the refresh engine's scratch buffers, so it
+/// is held to zero allocator calls too.
 fn churn_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>) {
     const QUERIES_PER_TICK: usize = 250;
-    let config = || {
-        let mut c = ChurnConfig::paper_defaults(1024, 11);
-        c.kind = OverlayKind::Pastry {
-            digit_bits: 1,
-            mode: RoutingMode::LocalityAware,
-        };
-        c
+    let mut pastry = ChurnConfig::paper_defaults(1024, 11);
+    pastry.kind = OverlayKind::Pastry {
+        digit_bits: 1,
+        mode: RoutingMode::LocalityAware,
     };
-    let mut full = ChurnRecomputeBench::new(&config(), QUERIES_PER_TICK);
-    let mut incremental = ChurnRecomputeBench::new(&config(), QUERIES_PER_TICK);
-    // Parity cross-check before timing: the two paths must install
-    // identical selections tick after tick.
-    for tick in 0..3 {
-        let (a, b) = (full.tick_full(), incremental.tick_incremental());
-        assert_eq!(
-            a, b,
-            "full and incremental recompute diverged at warmup tick {tick}"
-        );
-    }
+    let (mut full, mut incremental) = churn_bench_pair(&pastry, QUERIES_PER_TICK);
 
     let full_ns = time_median(profile.samples, profile.warmup, || {
         std::hint::black_box(full.tick_full());
@@ -598,20 +615,42 @@ fn churn_kernels(profile: &Profile, calib: f64, kernels: &mut Vec<KernelReport>)
     });
     require_zero_alloc("churn_recompute_incremental", alloc);
 
+    let (_, mut chord) = churn_bench_pair(&ChurnConfig::paper_defaults(1024, 11), QUERIES_PER_TICK);
+    let chord_ns = time_median(profile.samples, profile.warmup, || {
+        std::hint::black_box(chord.tick_incremental());
+    });
+    let chord_alloc = allocs_per_op(1, || {
+        std::hint::black_box(chord.tick_incremental());
+    });
+    require_zero_alloc("churn_recompute_chord", chord_alloc);
+
     let speedup = full_ns / inc_ns;
-    for (name, ns, alloc, speedup) in [
-        ("churn_recompute_full", full_ns, None, None),
-        ("churn_recompute_incremental", inc_ns, alloc, Some(speedup)),
+    for (name, substrate, ns, alloc, speedup) in [
+        ("churn_recompute_full", "pastry", full_ns, None, None),
+        (
+            "churn_recompute_incremental",
+            "pastry",
+            inc_ns,
+            alloc,
+            Some(speedup),
+        ),
+        (
+            "churn_recompute_chord",
+            "chord",
+            chord_ns,
+            chord_alloc,
+            None,
+        ),
     ] {
         let note = speedup.map_or(String::new(), |s| format!("  ({s:.2}x vs full tick)"));
         println!(
             "  {name:<24} {:<28} {ns:>14.1} ns/op {:>12.2} units{note}",
-            "pastry n=1024 k=10 q/tick=250",
+            format!("{substrate} n=1024 k=10 q/tick=250"),
             ns / calib
         );
         kernels.push(KernelReport {
             kernel: name.to_string(),
-            config: "churn recompute tick, pastry n=1024".to_string(),
+            config: format!("churn recompute tick, {substrate} n=1024"),
             ns_per_op: ns,
             units: ns / calib,
             ops_per_iter: 1,

@@ -125,6 +125,29 @@ pub(crate) fn solve_fast(ring: &RingView, oracle: &SegmentOracle, k: usize) -> D
     dp
 }
 
+/// The covered-budget shortcut: with a budget of exactly `ring.len()`
+/// pointers the only exactly-`n` placement puts one on every candidate,
+/// so the optimum takes them all and neither the segment oracle nor the
+/// layers are needed. Writes that selection into `out` and returns
+/// `true`; any other budget returns `false` and leaves `out` untouched.
+///
+/// The result is bit for bit the DP's: the same ids sorted, and the cost
+/// `Σ f_v + C_n(n)` with `C_n(n) = 0.0` (every segment is the pointer's
+/// own rank, `s(j, j) = 0.0`).
+fn select_every_candidate(ring: &RingView, k: usize, out: &mut Selection) -> bool {
+    if k != ring.len() {
+        return false;
+    }
+    out.aux.clear();
+    out.aux.extend_from_slice(&ring.ids);
+    // Ids are unique, so the unstable sort is deterministic.
+    out.aux.sort_unstable();
+    out.cost = ring.total_weight() + 0.0;
+    #[cfg(feature = "check-invariants")]
+    crate::invariants::assert_covered_matches_naive(ring, out);
+    true
+}
+
 /// The full budget schedule from one fast-DP run: the optimal selection
 /// for **every** feasible pointer budget `i ≤ k`, as `(i, selection)`
 /// pairs in increasing `i`.
@@ -186,13 +209,22 @@ impl PreparedChord {
     /// Phase 2 of §V-B: segment-oracle precompute (`O((n + c)·b)`) plus
     /// the `k`-layer divide-and-conquer DP (`O(k·n·log n)`), escalating
     /// the layer count when QoS bounds make exactly-`k` placements
-    /// infeasible (mirroring [`select_fast`]).
+    /// infeasible (mirroring [`select_fast`]). A budget of exactly
+    /// [`candidates`](Self::candidates) takes every candidate without
+    /// either step, as [`ChordWorkspace::solve_into`] does.
     ///
     /// # Errors
     /// [`SelectError::QosInfeasible`] when delay bounds cannot be met
     /// with `k` pointers.
     pub fn solve(&self, k: usize) -> Result<Selection, SelectError> {
         let ring = &self.ring;
+        let mut every = Selection {
+            aux: Vec::new(),
+            cost: 0.0,
+        };
+        if select_every_candidate(ring, k, &mut every) {
+            return Ok(every);
+        }
         let oracle = SegmentOracle::new(ring);
         let mut dp = solve_fast(ring, &oracle, k);
         #[cfg(feature = "check-invariants")]
@@ -229,6 +261,8 @@ pub struct ChordWorkspace {
 /// Deterministic work counts of one [`ChordWorkspace::solve_into`] call:
 /// exact integers, so they pin the solve's complexity where wall-clock
 /// timings cannot. Counting draws no randomness and allocates nothing.
+/// Both read zero when the budget covers every candidate: that solve
+/// takes them all without building the oracle or running a layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChordWork {
     /// Pointer steps of the segment-oracle build: one per comparison
@@ -275,6 +309,11 @@ impl ChordWorkspace {
     /// buffers. The returned selection borrows the workspace and is
     /// overwritten by the next solve; clone it to keep it.
     ///
+    /// When the effective budget equals the candidate count (`k ≥ |V|`),
+    /// the solve stops after the rebase and returns every candidate: the
+    /// one exactly-`|V|` placement, bit for bit what the layers would
+    /// return, at the cost of the rebase alone.
+    ///
     /// # Errors
     /// [`SelectError::InvalidProblem`] on malformed input;
     /// [`SelectError::QosInfeasible`] when delay bounds cannot be met
@@ -283,6 +322,9 @@ impl ChordWorkspace {
         let k = problem.effective_k();
         self.work = ChordWork::default();
         self.ring.rebase_into(problem)?;
+        if select_every_candidate(&self.ring, k, &mut self.selection) {
+            return Ok(&self.selection);
+        }
         self.work.oracle_steps = self.oracle.rebuild(&self.ring);
         self.work.segment_queries = solve_fast_into(
             &self.ring,
@@ -318,7 +360,8 @@ impl ChordWorkspace {
 
 /// One-shot selection via the fast algorithm (paper §V-B):
 /// `O((n + c)·b)` preprocessing for `c` core neighbors plus
-/// `O(k·n·log n)` DP.
+/// `O(k·n·log n)` DP, or the rebase alone when `k ≥ n` and every
+/// candidate is taken.
 ///
 /// # Errors
 /// [`SelectError::InvalidProblem`] on malformed input;

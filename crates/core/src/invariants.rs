@@ -7,7 +7,9 @@
 //! * **Fast vs. naive Chord DP agreement** — the divide-and-conquer layer
 //!   solve of §V-B must reproduce the reference §V-A recurrence cell for
 //!   cell (this is exactly the inverse-quadrangle-inequality argument made
-//!   executable);
+//!   executable), and the covered-budget shortcut that skips it when the
+//!   budget takes every candidate must return the recurrence's selection
+//!   bit for bit;
 //! * **Cost monotonicity in `k`** — an extra auxiliary pointer can never
 //!   make the optimal cost worse;
 //! * **Subset property (P)** — the optimal `j − 1` pointers are contained
@@ -24,7 +26,7 @@
 
 use peercache_id::Id;
 
-use crate::chord::naive::{solve_naive, DpResult};
+use crate::chord::naive::{selection_from, solve_naive, DpResult};
 use crate::chord::ring::RingView;
 use crate::problem::{PastryProblem, Selection};
 
@@ -63,6 +65,24 @@ pub(crate) fn assert_chord_fast_matches_naive(ring: &RingView, dp: &DpResult, k:
             );
         }
     }
+}
+
+/// Check that the covered-budget shortcut's selection (every candidate,
+/// budget `n`) is the naive §V-A recurrence's, ids and cost bit for bit.
+/// No-op above [`CHORD_CROSS_CHECK_MAX_N`] candidates.
+pub(crate) fn assert_covered_matches_naive(ring: &RingView, covered: &Selection) {
+    let n = ring.len();
+    if n > CHORD_CROSS_CHECK_MAX_N {
+        return;
+    }
+    let reference = selection_from(ring, &solve_naive(ring, n), n);
+    debug_assert!(
+        reference
+            .as_ref()
+            .is_ok_and(|r| r.aux == covered.aux && r.cost.total_cmp(&covered.cost).is_eq()),
+        "covered-budget shortcut disagrees with naive DP: shortcut = {covered:?}, \
+         naive = {reference:?}",
+    );
 }
 
 /// Check that optimal costs are non-increasing in the pointer budget.

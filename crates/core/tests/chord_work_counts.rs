@@ -10,12 +10,16 @@
 //!   (anchor, radius) would take `(n + c)·(b + 1)·log₂ n` comparisons,
 //!   above that bound at every n here);
 //! * each divide-and-conquer layer asks at most `n·(log₂ n + 2)` oracle
-//!   queries, so a `k`-layer solve asks at most `k·n·(log₂ n + 2)`.
+//!   queries, so a `k`-layer solve asks at most `k·n·(log₂ n + 2)`;
+//! * a budget that covers every candidate (`k ≥ |V|`) does neither: the
+//!   solve takes them all after the rebase, with the naive §V-A
+//!   recurrence's answer bit for bit, while `k = |V| − 1` still runs
+//!   the oracle build and the layers.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use peercache_core::chord::ChordWorkspace;
+use peercache_core::chord::{select_fast, select_naive, ChordWork, ChordWorkspace};
 use peercache_core::{Candidate, ChordProblem};
 use peercache_id::{Id, IdSpace};
 
@@ -89,4 +93,107 @@ fn chord_solve_work_stays_within_linear_and_n_log_n_bounds() {
     // warmed workspace reads them afresh rather than adding to them.
     ws.solve_into(&problem(256, 7)).expect("solvable");
     assert_eq!(ws.work(), counted[0]);
+}
+
+/// A seeded problem whose budget `k` covers its candidates: widths
+/// b ∈ {8, 12, 16, 24, 32}, 0..=k candidates (some weightless), 0–20
+/// core neighbors, QoS bounds on about a third of the problems, and
+/// sources in the ring's top 64 ids on about half, so the candidates
+/// wrap past zero.
+fn covered_problem(seed: u64) -> ChordProblem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bits = [8u8, 12, 16, 24, 32][rng.gen_range(0..5usize)];
+    let space = IdSpace::new(bits).expect("valid width");
+    let size = 1u128 << bits;
+    let source = if rng.gen_bool(0.5) {
+        size - 1 - rng.gen_range(0..64u128)
+    } else {
+        rng.gen_range(0..size)
+    };
+    let k = rng.gen_range(0..=12usize);
+    let n = rng.gen_range(0..=k);
+    let cores = rng.gen_range(0..=20usize);
+    let qos = rng.gen_bool(0.3);
+    let mut ids: Vec<u128> = vec![source];
+    while ids.len() < 1 + n + cores {
+        let id = rng.gen_range(0..size);
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    let candidates = ids[1..=n]
+        .iter()
+        .map(|&id| {
+            let weight = if rng.gen_bool(0.1) {
+                0.0
+            } else {
+                rng.gen_range(0.0..100.0)
+            };
+            if qos && rng.gen_bool(0.5) {
+                Candidate::with_max_hops(
+                    Id::new(id),
+                    weight,
+                    rng.gen_range(1..=u32::from(bits) + 1),
+                )
+            } else {
+                Candidate::new(Id::new(id), weight)
+            }
+        })
+        .collect();
+    let core = ids[n + 1..].iter().copied().map(Id::new).collect();
+    ChordProblem::new(space, Id::new(source), core, candidates, k).expect("well-formed")
+}
+
+#[test]
+fn a_budget_covering_every_candidate_skips_the_oracle_and_the_layers() {
+    let mut ws = ChordWorkspace::new();
+    let mut sizes = [0usize; 13];
+    for seed in 0..600u64 {
+        let problem = covered_problem(seed);
+        let n = problem.candidates.len();
+        sizes[n] += 1;
+        let reference = select_naive(&problem).expect("every candidate meets its bound");
+        let solved = ws.solve_into(&problem).expect("solvable").clone();
+        assert_eq!(
+            ws.work(),
+            ChordWork::default(),
+            "seed {seed}: a covered budget reads zero work"
+        );
+        for (path, sel) in [
+            ("workspace", &solved),
+            ("one-shot", &select_fast(&problem).unwrap()),
+        ] {
+            assert_eq!(sel.aux, reference.aux, "seed {seed}: {path} aux");
+            assert_eq!(
+                sel.cost.to_bits(),
+                reference.cost.to_bits(),
+                "seed {seed}: {path} cost {} vs naive {}",
+                sel.cost,
+                reference.cost
+            );
+        }
+        assert_eq!(solved.aux.len(), n, "every candidate is taken");
+
+        // One pointer short of the pool still runs the full solve.
+        if n >= 1 {
+            let mut short = problem.clone();
+            short.k = n - 1;
+            let _ = ws.solve_into(&short);
+            let work = ws.work();
+            assert!(
+                work.oracle_steps > 0,
+                "seed {seed}: k = |V| − 1 builds the oracle"
+            );
+            if n >= 2 {
+                assert!(
+                    work.segment_queries > 0,
+                    "seed {seed}: k = |V| − 1 runs the layers"
+                );
+            }
+        }
+    }
+    assert!(
+        sizes.iter().all(|&count| count > 0),
+        "every pool size 0..=12 is drawn: {sizes:?}"
+    );
 }

@@ -233,6 +233,48 @@ impl IdSpace {
         Ok((lcp / digit_bits).min(count))
     }
 
+    /// The ids that qualify for cell (row `index`, column `digit`) of
+    /// `owner`'s prefix routing table with `digit_bits`-bit digits —
+    /// sharing exactly `index` leading digits with `owner`, digit `index`
+    /// equal to `digit` — as the one value range they fill, its lowest
+    /// and highest value. `None` for `owner`'s own digit (that column
+    /// stays empty), for a digit the row's width cannot hold (a ragged
+    /// final digit is narrower), for a row past the id's digits, and for
+    /// a digit width [`digit`](Self::digit) rejects.
+    ///
+    /// ```
+    /// use peercache_id::{Id, IdSpace};
+    ///
+    /// let space = IdSpace::new(8).unwrap();
+    /// let owner = Id::new(0b1011_0110);
+    /// // Row 2, column 0: ids 10 0x xxxx.
+    /// assert_eq!(space.cell_range(owner, 2, 0, 1), Some((0b1000_0000, 0b1001_1111)));
+    /// // Column 1 of row 2 is the owner's own digit.
+    /// assert_eq!(space.cell_range(owner, 2, 1, 1), None);
+    /// ```
+    pub fn cell_range(
+        self,
+        owner: Id,
+        index: u8,
+        digit: u16,
+        digit_bits: u8,
+    ) -> Option<(u128, u128)> {
+        let b = u32::from(self.bits);
+        let ld = u32::from(index) * u32::from(digit_bits);
+        if ld >= b {
+            return None;
+        }
+        let w = u32::from(digit_bits).min(b - ld);
+        if u32::from(digit) >= (1u32 << w) || self.digit(owner, index, digit_bits).ok()? == digit {
+            return None;
+        }
+        let rem = b - ld - w;
+        let prefix = if ld == 0 { 0 } else { owner.0 >> (b - ld) };
+        let low = ((prefix << w) | u128::from(digit)) << rem;
+        let ones = if rem == 0 { 0 } else { (1u128 << rem) - 1 };
+        Some((low, low | ones))
+    }
+
     // ---- hop-distance estimates (the paper's d_uv) ---------------------
 
     /// Pastry hop-distance estimate between `u` and `v` (paper §IV): the
@@ -279,6 +321,44 @@ mod tests {
 
     fn sp(bits: u8) -> IdSpace {
         IdSpace::new(bits).unwrap()
+    }
+
+    #[test]
+    fn cell_ranges_hold_exactly_the_qualifying_ids() {
+        // Every row and column of owners spread over an 8-bit space at
+        // d = 1–4 (d = 3 leaves a ragged 2-bit final digit), against the
+        // definition.
+        let s = sp(8);
+        for d in 1..=4u8 {
+            let rows = s.digit_count(d).unwrap();
+            for owner in (0..256u128).step_by(5).chain([255]).map(Id::new) {
+                for l in 0..=rows {
+                    for c in 0..(1u16 << d) {
+                        let qualifying: Vec<u128> = (0..256u128)
+                            .filter(|&v| {
+                                let v = Id::new(v);
+                                l < rows
+                                    && s.common_prefix_digits(owner, v, d).unwrap() == l
+                                    && s.digit(v, l, d).unwrap() == c
+                            })
+                            .collect();
+                        let range = s.cell_range(owner, l, c, d);
+                        match (qualifying.first(), qualifying.last()) {
+                            (Some(&lo), Some(&hi)) => {
+                                assert_eq!(range, Some((lo, hi)), "owner {owner} d={d} ({l}, {c})");
+                                assert_eq!(qualifying.len() as u128, hi - lo + 1, "one run");
+                            }
+                            _ => assert_eq!(range, None, "owner {owner} d={d} ({l}, {c})"),
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(s.cell_range(Id::new(5), 0, 0, 0), None, "zero-width digits");
+        assert_eq!(
+            sp(128).cell_range(Id::new(0), 0, 1, 1),
+            Some((1 << 127, u128::MAX))
+        );
     }
 
     #[test]

@@ -163,7 +163,10 @@ impl PastryArena {
     #[allow(clippy::cast_possible_truncation)]
     pub fn cell(&self, rank: usize, l: u8, c: u16) -> Option<Id> {
         let owner = *self.ids.get(rank)?;
-        let (low, high) = self.config.cell_range(owner, l, c)?;
+        let (low, high) = self
+            .config
+            .space
+            .cell_range(owner, l, c, self.config.digit_bits)?;
         let lo_i = self.ids.partition_point(|&x| x.value() < low);
         let hi_i = self.ids.partition_point(|&x| x.value() <= high);
         if lo_i == hi_i {

@@ -69,32 +69,6 @@ impl PastryConfig {
             .common_prefix_digits(a, b, self.digit_bits)
             .unwrap_or(0)
     }
-
-    /// The ids that qualify for cell (row `l`, column `c`) of `owner`'s
-    /// routing table — sharing exactly `l` leading digits with `owner`,
-    /// digit `l` equal to `c` — as the one value range they fill, its
-    /// lowest and highest value. `None` for `owner`'s own digit (that
-    /// column stays empty) and for a cell past the id's digits.
-    pub(crate) fn cell_range(&self, owner: Id, l: u8, c: u16) -> Option<(u128, u128)> {
-        let b = u32::from(self.space.bits());
-        let ld = u32::from(l) * u32::from(self.digit_bits);
-        if ld >= b {
-            return None;
-        }
-        let w = u32::from(self.digit_bits).min(b - ld);
-        if u32::from(c) >= (1u32 << w) || self.space.digit(owner, l, self.digit_bits).ok()? == c {
-            return None;
-        }
-        let rem = b - ld - w;
-        let prefix = if ld == 0 {
-            0
-        } else {
-            owner.value() >> (b - ld)
-        };
-        let low = ((prefix << w) | u128::from(c)) << rem;
-        let ones = if rem == 0 { 0 } else { (1u128 << rem) - 1 };
-        Some((low, low | ones))
-    }
 }
 
 /// Deterministic pseudo-random priority deciding which qualifying node a
@@ -129,13 +103,16 @@ fn fill_rows(
             // encountered" with a deterministic per-(owner, entry) hash;
             // a globally optimal fill would make the locality tie-break
             // degenerate (no auxiliary entry could ever win it).
-            *cell = config.cell_range(owner, l, c).and_then(|(low, high)| {
-                members
-                    .range(low, high)
-                    .iter()
-                    .copied()
-                    .min_by_key(|&id| encounter_score(owner, id))
-            });
+            *cell = config
+                .space
+                .cell_range(owner, l, c, config.digit_bits)
+                .and_then(|(low, high)| {
+                    members
+                        .range(low, high)
+                        .iter()
+                        .copied()
+                        .min_by_key(|&id| encounter_score(owner, id))
+                });
         }
     }
 }

@@ -15,6 +15,7 @@ use peercache_pastry::{PastryConfig, PastryNetwork, RoutingMode};
 use peercache_skipgraph::{SkipGraphConfig, SkipGraphNetwork};
 use peercache_tapestry::{TapestryConfig, TapestryNetwork};
 use rand::Rng;
+use std::mem::take;
 
 /// Which overlay an experiment runs on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -63,11 +64,18 @@ impl QueryOutcome {
 /// Reusable per-thread selection scratch: one solver workspace per family
 /// (the fast Chord DP and the greedy Pastry trie), so a sweep over many
 /// nodes reuses the DP tables and trie storage instead of reallocating
-/// them per solve. One scratch per worker thread — the workspaces are not
-/// shared.
+/// them per solve, plus the problem's own inputs — the core set and the
+/// candidate pool — which each solve fills in place and takes back. One
+/// scratch per worker thread — the workspaces are not shared.
 pub struct SelectScratch {
     chord: chord::ChordWorkspace,
     pastry: pastry::PastryWorkspace,
+    /// The selecting node's core set, ascending.
+    core: Vec<Id>,
+    /// The observed pool minus the node and its core, ascending.
+    candidates: Vec<Candidate>,
+    /// The skip graph's selection, mapped back from rank space.
+    ranked: Selection,
 }
 
 impl SelectScratch {
@@ -76,6 +84,12 @@ impl SelectScratch {
         SelectScratch {
             chord: chord::ChordWorkspace::new(),
             pastry: pastry::PastryWorkspace::new(),
+            core: Vec::new(),
+            candidates: Vec::new(),
+            ranked: Selection {
+                aux: Vec::new(),
+                cost: 0.0,
+            },
         }
     }
 }
@@ -368,14 +382,6 @@ impl SimOverlay {
         Id::new(((rank_of(w) + n - rank_of(source)) % n) as u128)
     }
 
-    fn candidates_for(node: Id, core: &[Id], frequencies: &FrequencySnapshot) -> Vec<Candidate> {
-        frequencies
-            .without(core.iter().copied().chain(std::iter::once(node)))
-            .iter()
-            .map(|(id, weight)| Candidate::new(id, weight))
-            .collect()
-    }
-
     /// Run the paper's optimal selection for `node` over the observed
     /// `frequencies` (entries for the node itself or its core neighbors
     /// are filtered out automatically).
@@ -397,10 +403,20 @@ impl SimOverlay {
     }
 
     /// [`select_aware`](Self::select_aware) through a reusable
-    /// [`SelectScratch`]: the solver DP tables, trie storage, and scratch
-    /// buffers live in `scratch` and are reused across calls, so a sweep
-    /// over many nodes allocates per-solve only for the returned
-    /// `Selection` and the candidate pool.
+    /// [`SelectScratch`]. The node's core set and its candidate pool are
+    /// filled into the scratch's own buffers in place: the pool is the
+    /// snapshot's entries that are neither the node nor, by binary
+    /// search of the ascending core, a core neighbor. The buffers are
+    /// handed to the problem and taken back after the solve, and the
+    /// solver's DP tables and trie storage live in the scratch too. At
+    /// warmed capacity the only allocation on Chord, Pastry and Tapestry
+    /// is the returned `Selection`, a clone of the one the scratch holds
+    /// (the skip graph's rank space also copies the live ring).
+    ///
+    /// A Chord solve whose `k` covers every candidate skips the DP and
+    /// takes them all ([`ChordWorkspace::solve_into`]).
+    ///
+    /// [`ChordWorkspace::solve_into`]: chord::ChordWorkspace::solve_into
     ///
     /// # Errors
     /// Propagates [`SelectError`] from the solver.
@@ -411,19 +427,47 @@ impl SimOverlay {
         k: usize,
         scratch: &mut SelectScratch,
     ) -> Result<Selection, SelectError> {
-        let core = self.core_neighbors(node);
-        let candidates = Self::candidates_for(node, &core, frequencies);
-        match self.kind() {
-            OverlayKind::Chord => {
-                let problem = ChordProblem::new(self.space(), node, core, candidates, k)?;
-                Ok(scratch.chord.solve_into(&problem)?.clone())
-            }
-            OverlayKind::Pastry { digit_bits, .. } | OverlayKind::Tapestry { digit_bits } => {
+        self.select_aware_ref(node, frequencies, k, scratch)
+            .cloned()
+    }
+
+    /// [`select_aware_into`](Self::select_aware_into) returning the
+    /// selection the scratch holds, valid until the next solve through
+    /// it: the churn refresh engine copies it into the node's cached set,
+    /// so a dirty Chord recompute allocates nothing at warmed capacity.
+    pub(crate) fn select_aware_ref<'s>(
+        &self,
+        node: Id,
+        frequencies: &FrequencySnapshot,
+        k: usize,
+        scratch: &'s mut SelectScratch,
+    ) -> Result<&'s Selection, SelectError> {
+        let SelectScratch {
+            chord,
+            pastry,
+            core,
+            candidates,
+            ranked,
+        } = scratch;
+        self.core_neighbors_into(node, core);
+        candidates.clear();
+        candidates.extend(
+            frequencies
+                .iter()
+                .filter(|&(id, _)| id != node && core.binary_search(&id).is_err())
+                .map(|(id, weight)| Candidate::new(id, weight)),
+        );
+        let digit_bits = match self {
+            SimOverlay::Pastry(net) => net.config().digit_bits,
+            SimOverlay::Tapestry(net) => net.config().digit_bits,
+            SimOverlay::Chord(_) => {
                 let problem =
-                    PastryProblem::new(self.space(), digit_bits, node, core, candidates, k)?;
-                Ok(scratch.pastry.solve_into(&problem)?.clone())
+                    ChordProblem::new(self.space(), node, take(core), take(candidates), k)?;
+                let solved = chord.solve_into(&problem);
+                (*core, *candidates) = (problem.core, problem.candidates);
+                return solved;
             }
-            OverlayKind::SkipGraph => {
+            SimOverlay::SkipGraph(_) => {
                 // §I transfer: run the Chord optimiser in rank space.
                 let ring = self.live_ids(); // sorted
                 let n = ring.len();
@@ -433,36 +477,43 @@ impl SimOverlay {
                 let rank_space = IdSpace::new(rank_bits).map_err(|e| {
                     SelectError::InvalidProblem(format!("rank space of {rank_bits} bits: {e}"))
                 })?;
-                let cands: Vec<Candidate> = candidates
-                    .into_iter()
-                    .filter(|c| self.is_live(c.id))
-                    .map(|c| Candidate {
-                        id: Self::rank_id(&ring, node, c.id),
-                        weight: c.weight,
-                        max_hops: c.max_hops,
-                    })
-                    .collect();
-                let core_ranks: Vec<Id> = core
-                    .iter()
-                    .filter(|&&c| self.is_live(c))
-                    .map(|&c| Self::rank_id(&ring, node, c))
-                    .collect();
-                let problem = ChordProblem::new(rank_space, Id::new(0), core_ranks, cands, k)?;
-                let sel = scratch.chord.solve_into(&problem)?;
+                candidates.retain(|c| self.is_live(c.id));
+                for c in candidates.iter_mut() {
+                    c.id = Self::rank_id(&ring, node, c.id);
+                }
+                core.retain(|&c| self.is_live(c));
+                for c in core.iter_mut() {
+                    *c = Self::rank_id(&ring, node, *c);
+                }
+                let problem =
+                    ChordProblem::new(rank_space, Id::new(0), take(core), take(candidates), k)?;
+                let solved = chord.solve_into(&problem);
+                (*core, *candidates) = (problem.core, problem.candidates);
+                let sel = solved?;
                 let my_rank = ring.binary_search(&node).map_err(|_| {
                     SelectError::InvalidProblem(format!("selecting node {node} is not live"))
                 })?;
-                let aux: Vec<Id> = sel
-                    .aux
-                    .iter()
-                    .map(|r| ring[(my_rank + r.value() as usize) % n])
-                    .collect();
-                Ok(Selection {
-                    aux,
-                    cost: sel.cost,
-                })
+                ranked.aux.clear();
+                ranked.aux.extend(
+                    sel.aux
+                        .iter()
+                        .map(|r| ring[(my_rank + r.value() as usize) % n]),
+                );
+                ranked.cost = sel.cost;
+                return Ok(ranked);
             }
-        }
+        };
+        let problem = PastryProblem::new(
+            self.space(),
+            digit_bits,
+            node,
+            take(core),
+            take(candidates),
+            k,
+        )?;
+        let solved = pastry.solve_into(&problem);
+        (*core, *candidates) = (problem.core, problem.candidates);
+        solved
     }
 
     /// Frequency-oblivious selection over the *whole live ring* (minus

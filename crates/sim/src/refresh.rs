@@ -24,7 +24,9 @@
 //!   epoch for the rank-space substrate), and a recompute tick costs
 //!   `O(dirty · k · b)`. Chord/SkipGraph selections fall back to the
 //!   full solver but keep the clean-skip: an untouched node re-installs
-//!   its cached selection without re-solving.
+//!   its cached selection without re-solving, and a dirty one re-solves
+//!   through the engine's reused `SelectScratch` (allocation-free on
+//!   Chord).
 //!
 //! `CounterSlab` is the scale-tier counterpart of the per-node
 //! estimators: a flat fixed-stride Space-Saving slab whose footprint is
@@ -285,6 +287,17 @@ impl NodeState {
 /// `O(dirty · k · b)` instead of a fresh snapshot + full solve per node,
 /// while producing bit-identical selections (the differential suite
 /// replays full vs incremental runs).
+///
+/// Chord and the skip graph have no retained optimizer: a dirty node
+/// snapshots its counter into the engine's buffer and re-solves through
+/// `SimOverlay::select_aware_ref`, which filters the pool against the
+/// node's sorted core into the scratch's own core and candidate buffers,
+/// takes every candidate without the DP when `k` covers the pool (the
+/// common case on `churn_chord`), and hands back the selection the
+/// scratch holds; it is copied into the node's cached set. At warmed
+/// capacity a dirty Chord recompute allocates nothing (`perf_baseline`'s
+/// `churn_recompute_chord` gate); the skip graph's rank-space arm still
+/// copies the live ring.
 pub(crate) struct ChurnRefresh {
     kind: OverlayKind,
     space: IdSpace,
@@ -451,8 +464,11 @@ impl ChurnRefresh {
             OverlayKind::Chord | OverlayKind::SkipGraph => {
                 // No incremental solver for the ring DP: re-solve from
                 // the raw snapshot. The clean skip above still spares untouched
-                // nodes the solve.
-                match overlay.select_aware_into(node, &self.snap, k, &mut self.scratch) {
+                // nodes the solve; the solve itself fills the scratch's
+                // core and pool buffers in place, takes every candidate
+                // when `k` covers the pool, and hands back the selection
+                // it holds, which is copied into the node's cached set.
+                match overlay.select_aware_ref(node, &self.snap, k, &mut self.scratch) {
                     Ok(sel) => {
                         let st = &mut self.nodes[idx];
                         st.aux.clear();

@@ -257,9 +257,36 @@ impl TapestryNetwork {
     }
 
     /// Rebuild a node's routing table from global truth (bootstrap /
-    /// periodic repair). Cell `(l, c)` holds the smallest-id qualifying
-    /// node — the deterministic rule that keeps surrogate roots unique.
+    /// periodic repair), in place. Cell `(l, c)` holds the smallest-id
+    /// qualifying node — the deterministic rule that keeps surrogate roots
+    /// unique. The qualifying ids fill one value range of the sorted ring
+    /// ([`IdSpace::cell_range`]), so each cell is the first id of that
+    /// range, found by two binary searches. An id that is not live is
+    /// left alone.
     pub fn refresh_from_truth(&mut self, id: Id) {
+        let Some(node) = self.nodes.get_mut(id) else {
+            return;
+        };
+        let mut rows = std::mem::take(&mut node.rows);
+        let (space, digit_bits) = (self.config.space, self.config.digit_bits);
+        for (row, l) in rows.iter_mut().zip(0u8..) {
+            for (cell, c) in row.iter_mut().zip(0u16..) {
+                *cell = space
+                    .cell_range(id, l, c, digit_bits)
+                    .and_then(|(low, high)| self.nodes.range(low, high).first().copied());
+            }
+        }
+        if let Some(node) = self.nodes.get_mut(id) {
+            node.rows = rows;
+        }
+    }
+
+    /// The table [`refresh_from_truth`](Self::refresh_from_truth) fills,
+    /// by the reference scan: every other member, in ascending order,
+    /// into the cell its shared prefix and next digit name, the first
+    /// (smallest) id winning.
+    #[cfg(test)]
+    fn rows_by_scan(&self, id: Id) -> Vec<Vec<Option<Id>>> {
         let mut rows = vec![vec![None; self.arity]; self.digit_count as usize];
         for &other in self.nodes.ids() {
             if other == id {
@@ -276,8 +303,7 @@ impl TapestryNetwork {
                 *cell = Some(other);
             }
         }
-        let node = self.nodes.get_mut(id).expect("live node");
-        node.rows = rows;
+        rows
     }
 
     /// Repair every node.
@@ -540,6 +566,51 @@ mod tests {
                 let ids = membership(space, n, seed);
                 let net = TapestryNetwork::build(TapestryConfig::new(space, d), &ids);
                 assert_owners_agree(&net, &keys);
+            }
+        }
+    }
+
+    fn assert_tables_match_the_scan(net: &TapestryNetwork) {
+        for &id in net.nodes.ids() {
+            assert_eq!(
+                net.node(id).map(|n| &n.rows),
+                Some(&net.rows_by_scan(id)),
+                "table of {id} (d = {})",
+                net.config().digit_bits
+            );
+        }
+    }
+
+    #[test]
+    fn cell_range_tables_match_the_scan_at_every_digit_width() {
+        let space = IdSpace::paper();
+        for d in 1..=4 {
+            for seed in 0..6u64 {
+                let n = [1, 2, 3, 17, 64, 300][usize::try_from(seed).unwrap()];
+                let ids = membership(space, n, seed);
+                let mut net = TapestryNetwork::build(TapestryConfig::new(space, d), &ids);
+                assert_tables_match_the_scan(&net);
+                // Departures leave stale tables; a repair refills them in
+                // place over the survivors.
+                for &gone in ids.iter().step_by(3).skip(1) {
+                    net.fail(gone).unwrap();
+                }
+                net.repair_all();
+                assert_tables_match_the_scan(&net);
+            }
+        }
+    }
+
+    #[test]
+    fn cell_range_tables_match_the_scan_in_a_dense_space() {
+        // Memberships filling up to the whole 8-bit space: every member's
+        // table.
+        let space = IdSpace::new(8).unwrap();
+        for d in 1..=4 {
+            for (seed, n) in [(1u64, 2usize), (2, 40), (3, 128), (4, 250), (5, 256)] {
+                let ids = membership(space, n, seed);
+                let net = TapestryNetwork::build(TapestryConfig::new(space, d), &ids);
+                assert_tables_match_the_scan(&net);
             }
         }
     }
