@@ -69,7 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         BYTES_IN_USE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
     }
 }
 
@@ -83,6 +83,7 @@ pub fn alloc_calls() -> u64 {
 }
 
 /// Heap bytes currently live (allocated and not yet freed), process-wide.
+#[cfg(test)]
 pub fn bytes_in_use() -> u64 {
     BYTES_IN_USE.load(Ordering::Relaxed)
 }

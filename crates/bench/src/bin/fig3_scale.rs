@@ -148,8 +148,8 @@ fn scale_row(
 ) -> ScaleRow {
     ScaleRow {
         n: config.nodes,
-        k: config.k,
-        alpha: config.alpha,
+        k: config.k(),
+        alpha: ScaleConfig::ALPHA,
         avg_hops_aware: aware.avg_hops(),
         avg_hops_oblivious: obl.avg_hops(),
         avg_hops_core_only: core.avg_hops(),
@@ -177,7 +177,7 @@ fn main() {
         tee,
         "scale: virtual-arena pastry n={} k={} queries={}",
         config.nodes,
-        config.k,
+        config.k(),
         config.queries
     );
     gauge_reset();

@@ -131,6 +131,7 @@ impl PastryOptimizer {
     }
 
     /// Minimum auxiliary pointers any feasible solution needs (QoS).
+    #[cfg(test)]
     pub fn required_pointers(&self) -> u32 {
         self.trie.vertex(Trie::ROOT).req
     }

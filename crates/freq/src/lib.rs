@@ -12,11 +12,6 @@
 //!   tracking only the top-`n` frequent peers under a storage limit. Its
 //!   count over-estimates are bounded by `N / capacity` for a stream of
 //!   length `N`.
-//! * [`DecayingCounter`] — exponentially decayed counts, so selections
-//!   adapt as popularities drift (§IV-C motivates re-optimisation when
-//!   "node popularities change").
-//! * [`SlidingWindowCounter`] — counts restricted to a trailing time
-//!   window, the "past history of accesses within a time window" of §III.
 //!
 //! All estimators produce a [`FrequencySnapshot`], the frozen
 //! `(peer, weight)` table handed to the selection algorithms in
@@ -25,15 +20,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod decay;
 mod exact;
-mod sliding;
 mod snapshot;
 mod space_saving;
 
-pub use decay::DecayingCounter;
 pub use exact::ExactCounter;
-pub use sliding::SlidingWindowCounter;
 pub use snapshot::{FrequencySnapshot, SnapshotEntry};
 pub use space_saving::SpaceSaving;
 

@@ -5,7 +5,7 @@ use peercache_id::Id;
 pub struct SnapshotEntry {
     /// The peer the accesses were for.
     pub peer: Id,
-    /// The (possibly estimated or decayed) access weight `f_v`.
+    /// The (possibly estimated) access weight `f_v`.
     pub weight: f64,
 }
 

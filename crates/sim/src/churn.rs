@@ -24,6 +24,12 @@ use crate::overlay::{OverlayKind, SelectScratch, SimOverlay};
 use crate::refresh::ChurnRefresh;
 use crate::stable::RankingMode;
 
+/// Seconds between a node's stabilization rounds (paper: 25).
+const STABILIZE_INTERVAL: f64 = 25.0;
+
+/// Seconds between a node's auxiliary recomputations (paper: 62.5).
+const RECOMPUTE_INTERVAL: f64 = 62.5;
+
 /// How the driver recomputes frequency-aware auxiliary sets at
 /// recompute ticks.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -65,10 +71,6 @@ pub struct ChurnConfig {
     pub mean_lifetime: f64,
     /// System-wide query arrival rate per second (paper: 4).
     pub query_rate: f64,
-    /// Stabilization interval, seconds (paper: 25).
-    pub stabilize_interval: f64,
-    /// Auxiliary recomputation interval, seconds (paper: 62.5).
-    pub recompute_interval: f64,
     /// Total simulated time, seconds.
     pub duration: f64,
     /// Queries before this time are routed but not measured.
@@ -97,8 +99,6 @@ impl ChurnConfig {
             k,
             mean_lifetime: 900.0,
             query_rate: 4.0,
-            stabilize_interval: 25.0,
-            recompute_interval: 62.5,
             duration: 7200.0,
             warmup: 1800.0,
             seed,
@@ -219,11 +219,11 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
             Event::Flip(idx),
         );
         queue.schedule(
-            rng_churn.gen_range(0.0..config.stabilize_interval),
+            rng_churn.gen_range(0.0..STABILIZE_INTERVAL),
             Event::Stabilize(idx),
         );
         queue.schedule(
-            rng_churn.gen_range(0.0..config.recompute_interval),
+            rng_churn.gen_range(0.0..RECOMPUTE_INTERVAL),
             Event::Recompute(idx),
         );
     }
@@ -316,13 +316,13 @@ pub fn run_churn_once_faulted(config: &ChurnConfig, strategy: Strategy) -> Fault
                 }
             }
             Event::Stabilize(idx) => {
-                queue.schedule_in(config.stabilize_interval, Event::Stabilize(idx));
+                queue.schedule_in(STABILIZE_INTERVAL, Event::Stabilize(idx));
                 if liveness.is_alive(idx) {
                     overlay.stabilize(node_ids[idx]);
                 }
             }
             Event::Recompute(idx) => {
-                queue.schedule_in(config.recompute_interval, Event::Recompute(idx));
+                queue.schedule_in(RECOMPUTE_INTERVAL, Event::Recompute(idx));
                 if !liveness.is_alive(idx) {
                     continue;
                 }
@@ -392,34 +392,6 @@ pub fn run_churn(config: &ChurnConfig) -> ChurnReport {
     };
     let reduction = reduction_pct(aware.avg_hops(), oblivious.avg_hops());
     ChurnReport {
-        aware,
-        oblivious,
-        reduction_pct: reduction,
-    }
-}
-
-/// The outcome of one fault-injected churn-mode comparison.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct ChurnFaultReport {
-    /// Fault metrics under the frequency-aware strategy.
-    pub aware: FaultMetrics,
-    /// Fault metrics under the frequency-oblivious baseline.
-    pub oblivious: FaultMetrics,
-    /// % reduction in average hops, aware vs oblivious.
-    pub reduction_pct: f64,
-}
-
-/// [`run_churn`] with fault injection: identical paired schedules, two
-/// strategies, full degradation counters per side.
-pub fn run_churn_faulted(config: &ChurnConfig) -> ChurnFaultReport {
-    let strategies = [Strategy::Aware, Strategy::Oblivious];
-    let results = peercache_par::par_map(&strategies, |_, &s| run_churn_once_faulted(config, s));
-    let mut results = results.into_iter();
-    let (Some(aware), Some(oblivious)) = (results.next(), results.next()) else {
-        unreachable!("par_map yields one result per strategy");
-    };
-    let reduction = reduction_pct(aware.base.avg_hops(), oblivious.base.avg_hops());
-    ChurnFaultReport {
         aware,
         oblivious,
         reduction_pct: reduction,

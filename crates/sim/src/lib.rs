@@ -44,8 +44,8 @@ pub mod stable;
 
 pub use bridge::RuntimeFixture;
 pub use churn::{
-    run_churn, run_churn_faulted, run_churn_once, run_churn_once_faulted, ChurnConfig,
-    ChurnFaultReport, ChurnReport, RecomputeMode, Strategy,
+    run_churn, run_churn_once, run_churn_once_faulted, ChurnConfig, ChurnReport, RecomputeMode,
+    Strategy,
 };
 pub use experiments::{fig3, fig4, fig5, fig6, render_table, FigureRow, Scale};
 pub use faults::{fault_matrix, fault_matrix_multi, FaultMatrixCell, FaultMatrixConfig};

@@ -343,17 +343,10 @@ impl SimOverlay {
             .step(current, key, true_owner, &aux_of, plan, trace, scratch)
     }
 
-    /// [`query_with_aux_faults`](Self::query_with_aux_faults) over the
-    /// **installed** per-node auxiliary sets, where `set_aux` state is
-    /// live and there is no side table; read-only, so it evicts nothing.
-    pub fn query_faulted(&self, from: Id, key: Id, plan: &FaultPlan) -> FaultedRoute {
-        let net = self.substrate();
-        walk(net, from, key, |id| net.installed_aux(id), plan)
-    }
-
-    /// [`query_faulted`](Self::query_faulted), then evict every neighbor
-    /// that timed out from its prober's tables — the churn driver's route
-    /// path ([`Substrate::walk_repairing`]).
+    /// Route one query over the **installed** per-node auxiliary sets
+    /// through `plan`'s probe channel, then evict every neighbor that
+    /// timed out from its prober's tables — the churn driver's route path
+    /// ([`Substrate::walk_repairing`]).
     pub fn query_repairing(&mut self, from: Id, key: Id, plan: &FaultPlan) -> FaultedRoute {
         self.substrate_mut().walk_repairing(from, key, plan)
     }
@@ -383,35 +376,16 @@ impl SimOverlay {
     }
 
     /// Run the paper's optimal selection for `node` over the observed
-    /// `frequencies` (entries for the node itself or its core neighbors
-    /// are filtered out automatically).
-    ///
-    /// One-shot wrapper over [`select_aware_into`](Self::select_aware_into)
-    /// with a throwaway scratch.
-    ///
-    /// # Errors
-    /// Propagates [`SelectError`] from the solver (malformed inputs; QoS
-    /// is not used by the experiment drivers).
-    pub fn select_aware(
-        &self,
-        node: Id,
-        frequencies: &FrequencySnapshot,
-        k: usize,
-    ) -> Result<Selection, SelectError> {
-        let mut scratch = SelectScratch::new();
-        self.select_aware_into(node, frequencies, k, &mut scratch)
-    }
-
-    /// [`select_aware`](Self::select_aware) through a reusable
-    /// [`SelectScratch`]. The node's core set and its candidate pool are
-    /// filled into the scratch's own buffers in place: the pool is the
-    /// snapshot's entries that are neither the node nor, by binary
-    /// search of the ascending core, a core neighbor. The buffers are
-    /// handed to the problem and taken back after the solve, and the
-    /// solver's DP tables and trie storage live in the scratch too. At
-    /// warmed capacity the only allocation on Chord, Pastry and Tapestry
-    /// is the returned `Selection`, a clone of the one the scratch holds
-    /// (the skip graph's rank space also copies the live ring).
+    /// `frequencies` through a reusable [`SelectScratch`]. The node's
+    /// core set and its candidate pool are filled into the scratch's own
+    /// buffers in place: the pool is the snapshot's entries that are
+    /// neither the node nor, by binary search of the ascending core, a
+    /// core neighbor. The buffers are handed to the problem and taken
+    /// back after the solve, and the solver's DP tables and trie storage
+    /// live in the scratch too. At warmed capacity the only allocation on
+    /// Chord, Pastry and Tapestry is the returned `Selection`, a clone of
+    /// the one the scratch holds (the skip graph's rank space also copies
+    /// the live ring).
     ///
     /// A Chord solve whose `k` covers every candidate skips the DP and
     /// takes them all ([`ChordWorkspace::solve_into`]).
@@ -419,7 +393,8 @@ impl SimOverlay {
     /// [`ChordWorkspace::solve_into`]: chord::ChordWorkspace::solve_into
     ///
     /// # Errors
-    /// Propagates [`SelectError`] from the solver.
+    /// Propagates [`SelectError`] from the solver (malformed inputs; QoS
+    /// is not used by the experiment drivers).
     pub fn select_aware_into(
         &self,
         node: Id,

@@ -310,8 +310,10 @@ pub(crate) struct ChurnRefresh {
     // Shared scratch, recycled across nodes and ticks.
     snap: FrequencySnapshot,
     pool: FrequencySnapshot,
+    /// The node's core set, strictly ascending as every substrate's
+    /// `core_neighbors_into` hands it out: compared with and copied into
+    /// the core mirror as is.
     core_buf: Vec<Id>,
-    core_sorted: Vec<Id>,
     core_removed: Vec<Id>,
     core_added: Vec<Id>,
     scratch: SelectScratch,
@@ -330,7 +332,6 @@ impl ChurnRefresh {
             snap: FrequencySnapshot::default(),
             pool: FrequencySnapshot::default(),
             core_buf: Vec::new(),
-            core_sorted: Vec::new(),
             core_removed: Vec::new(),
             core_added: Vec::new(),
             scratch: SelectScratch::new(),
@@ -374,9 +375,6 @@ impl ChurnRefresh {
             return None;
         }
         overlay.core_neighbors_into(node, &mut self.core_buf);
-        self.core_sorted.clear();
-        self.core_sorted.extend_from_slice(&self.core_buf);
-        self.core_sorted.sort_unstable();
         let k = self.k;
         let kind = self.kind;
         let space = self.space;
@@ -390,7 +388,7 @@ impl ChurnRefresh {
         let clean = {
             let st = &self.nodes[idx];
             let ring_ok = !matches!(kind, OverlayKind::SkipGraph) || st.ring_epoch == epoch;
-            st.has_selection && !st.dirty && ring_ok && self.core_sorted == st.core_mirror
+            st.has_selection && !st.dirty && ring_ok && self.core_buf == st.core_mirror
         };
         if !clean && !self.recompute_dirty(overlay, idx, node, counter, k, kind, space, epoch) {
             return None;
@@ -423,7 +421,6 @@ impl ChurnRefresh {
                     snap,
                     pool,
                     core_buf,
-                    core_sorted,
                     core_removed,
                     core_added,
                     ..
@@ -432,10 +429,8 @@ impl ChurnRefresh {
                 // The candidate pool: the raw snapshot minus the node
                 // itself and its core set — entry-for-entry what the
                 // full path's `without` produces.
-                pool.refill_filtered(snap, |p| {
-                    p != node && core_sorted.binary_search(&p).is_err()
-                });
-                diff_sorted(&st.core_mirror, core_sorted, core_removed, core_added);
+                pool.refill_filtered(snap, |p| p != node && core_buf.binary_search(&p).is_err());
+                diff_sorted(&st.core_mirror, core_buf, core_removed, core_added);
                 let params = PastryParams {
                     node,
                     digit_bits,
@@ -490,7 +485,7 @@ impl ChurnRefresh {
         // nodes keep receiving under-sized buffers and the steady-state
         // tick never reaches zero allocator calls.
         st.core_mirror.clear();
-        st.core_mirror.extend_from_slice(&self.core_sorted);
+        st.core_mirror.extend_from_slice(&self.core_buf);
         true
     }
 }

@@ -61,6 +61,19 @@ const QUERY_CHUNK: usize = 4096;
 /// tests' 384- and 512-node populations still span two chunks.
 const RANK_CHUNK: usize = 256;
 
+/// fig3's digit width in bits.
+const DIGIT_BITS: u8 = 1;
+
+/// fig3's next-hop tie-breaking policy.
+const MODE: RoutingMode = RoutingMode::LocalityAware;
+
+/// fig3's hot-catalog size.
+const ITEMS: usize = 64;
+
+/// Monitored peers per node counter in the churn probe: the Space-Saving
+/// stride of its `CounterSlab`, 193 B of counter state per node.
+const COUNTER_STRIDE: usize = 8;
+
 /// A flat fixed-stride auxiliary slab indexed by arena rank: rank `r`'s
 /// set lives at `ids[r·stride .. r·stride + lens[r]]`. One allocation per
 /// strategy, reused across refreshes — refreshing a node's set writes in
@@ -129,23 +142,13 @@ impl SlabChunk<'_> {
     }
 }
 
-/// Configuration of one scale run (Pastry substrate only — fig3's).
+/// Configuration of one scale run on fig3's Pastry world: 32-bit ids,
+/// 1-bit digits, locality-aware routing, a 64-item catalog at
+/// α = [`ALPHA`](Self::ALPHA), and [`k`](Self::k) pointers per node.
 #[derive(Clone, Debug)]
 pub struct ScaleConfig {
-    /// Identifier width (the paper uses 32).
-    pub bits: u8,
-    /// Digit width in bits (fig3 uses 1).
-    pub digit_bits: u8,
-    /// Next-hop tie-breaking policy.
-    pub mode: RoutingMode,
     /// Number of nodes `n`.
     pub nodes: usize,
-    /// Hot-catalog size.
-    pub items: usize,
-    /// Zipf exponent `α`.
-    pub alpha: f64,
-    /// Auxiliary pointers per node `k`.
-    pub k: usize,
     /// Measurement queries to route.
     pub queries: usize,
     /// Master seed.
@@ -153,21 +156,21 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// fig3-style defaults at population `nodes`: 32-bit ids, 1-bit
-    /// digits, locality-aware routing, 64-item catalog, `k = log₂ n`,
-    /// α = 1.2, 50 000 queries.
+    /// The Zipf exponent of the hot catalog (fig3's 1.2).
+    pub const ALPHA: f64 = 1.2;
+
+    /// Defaults at population `nodes`: 50 000 queries.
     pub fn paper_defaults(nodes: usize, seed: u64) -> Self {
         ScaleConfig {
-            bits: 32,
-            digit_bits: 1,
-            mode: RoutingMode::LocalityAware,
             nodes,
-            items: 64,
-            alpha: 1.2,
-            k: crate::experiments::log2(nodes),
             queries: 50_000,
             seed,
         }
+    }
+
+    /// Auxiliary pointers per node: `k = log₂ n`, rounded.
+    pub fn k(&self) -> usize {
+        crate::experiments::log2(self.nodes)
     }
 }
 
@@ -200,17 +203,17 @@ struct World {
 
 impl World {
     fn build(config: &ScaleConfig) -> Self {
-        let space = IdSpace::new(config.bits).expect("valid id width");
+        let space = IdSpace::paper();
         let mut rng_topology = StdRng::seed_from_u64(config.seed);
         let node_ids = random_ids(space, config.nodes, &mut rng_topology);
-        let catalog = ItemCatalog::random(space, config.items, &mut rng_topology);
+        let catalog = ItemCatalog::random(space, ITEMS, &mut rng_topology);
         let arena = PastryArena::new(
-            PastryConfig::new(space, config.digit_bits).with_mode(config.mode),
+            PastryConfig::new(space, DIGIT_BITS).with_mode(MODE),
             node_ids,
         );
-        let zipf = Zipf::new(config.items, config.alpha).expect("valid Zipf");
-        let workload = NodeWorkload::new(zipf, Ranking::identity(config.items));
-        let owner_ranks = (0..config.items)
+        let zipf = Zipf::new(ITEMS, ScaleConfig::ALPHA).expect("valid Zipf");
+        let workload = NodeWorkload::new(zipf, Ranking::identity(ITEMS));
+        let owner_ranks = (0..ITEMS)
             .map(|i| {
                 let owner = arena.true_owner(catalog.key(i)).expect("non-empty arena");
                 arena.rank_of(owner).expect("owners are members")
@@ -469,26 +472,27 @@ fn draw_from_slice<R: Rng + ?Sized>(
 /// with — and what diverges from — the paper-scale stable driver.
 ///
 /// # Panics
-/// Panics on nonsensical configurations (zero nodes/items, α invalid) —
-/// experiment definitions, not runtime inputs.
+/// Panics on zero nodes — an experiment definition, not a runtime
+/// input.
 pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
-    assert!(config.nodes > 0 && config.items > 0);
+    assert!(config.nodes > 0);
     let world = World::build(config);
     let arena = &world.arena;
     let n = arena.len();
+    let k = config.k();
 
     // Identical rankings (fig3): one exact owner-popularity snapshot for
     // every node.
     let weights = FrequencySnapshot::from_pairs(
         world
             .workload
-            .node_weights(config.items, |i| arena.ids()[world.owner_ranks[i]]),
+            .node_weights(ITEMS, |i| arena.ids()[world.owner_ranks[i]]),
     );
 
     // Both strategies' selections, one task per rank chunk, each writing
     // its own views of the two slabs — no per-node vectors retained past
     // the solve.
-    let stride = config.k.max(1);
+    let stride = k.max(1);
     let mut aware_slab = AuxSlab::new(stride, n);
     let mut oblivious_slab = AuxSlab::new(stride, n);
     let mut chunks: Vec<_> = aware_slab
@@ -502,13 +506,13 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
         let mut draw = Vec::new();
         for rank in aware.ranks() {
             arena.core_neighbors_into(rank, &mut core);
-            let set = solve_aware(&mut workspace, arena, config.k, rank, &core, weights.iter());
+            let set = solve_aware(&mut workspace, arena, k, rank, &core, weights.iter());
             aware.set(rank, set);
             oblivious_at_scale(
                 arena,
                 rank,
                 &core,
-                config.k,
+                k,
                 config.seed,
                 &mut slices_buf,
                 &mut draw,
@@ -560,7 +564,7 @@ pub fn run_scale_stable(config: &ScaleConfig) -> ScaleReport {
 /// populations the materialised driver cannot hold.
 #[derive(Clone, Debug)]
 pub struct ScaleChurnConfig {
-    /// The underlying scale parameters (population, `k`, α…).
+    /// The underlying scale parameters (population and seed).
     /// `scale.queries` is ignored — the churn probe routes
     /// [`queries_per_round`](Self::queries_per_round) per round.
     pub scale: ScaleConfig,
@@ -570,22 +574,18 @@ pub struct ScaleChurnConfig {
     pub flips_per_round: usize,
     /// Queries routed — and observed into the counters — per round.
     pub queries_per_round: usize,
-    /// Monitored peers per node counter (the Space-Saving stride of the
-    /// `CounterSlab`); clamped to `[1, 255]`.
-    pub counter_stride: usize,
 }
 
 impl ScaleChurnConfig {
     /// Churn-probe defaults at population `nodes`: the fig3 scale
-    /// parameters, 4 rounds of 1 % membership flips, 25 000 queries per
-    /// round, and 8 monitored peers per node (193 B of counter state).
+    /// parameters, 4 rounds of 1 % membership flips and 25 000 queries
+    /// per round.
     pub fn paper_defaults(nodes: usize, seed: u64) -> Self {
         ScaleChurnConfig {
             scale: ScaleConfig::paper_defaults(nodes, seed),
             rounds: 4,
             flips_per_round: (nodes / 100).max(1),
             queries_per_round: 25_000,
-            counter_stride: 8,
         }
     }
 }
@@ -644,23 +644,24 @@ fn walk_alive(alive: &[bool], rank: usize) -> usize {
 /// and the CI scale job pin down.
 ///
 /// # Panics
-/// Panics on nonsensical configurations (zero nodes/items/rounds) —
-/// experiment definitions, not runtime inputs.
+/// Panics on nonsensical configurations (fewer than two nodes, zero
+/// rounds) — experiment definitions, not runtime inputs.
 pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
     let sc = &config.scale;
-    assert!(sc.nodes > 1 && sc.items > 0 && config.rounds > 0);
+    assert!(sc.nodes > 1 && config.rounds > 0);
     let world = World::build(sc);
     let arena = &world.arena;
     let n = arena.len();
+    let k = sc.k();
 
     // Fixed per-node churn state: flags, bounded counters, and one
     // aware slab — no oblivious pass and no retained optimizers at this
     // tier.
-    let stride = sc.k.max(1);
+    let stride = k.max(1);
     let mut alive = vec![true; n];
     let mut alive_count = n;
     let mut dirty = vec![false; n];
-    let mut counters = CounterSlab::new(config.counter_stride, n);
+    let mut counters = CounterSlab::new(COUNTER_STRIDE, n);
     let mut aware = AuxSlab::new(stride, n);
     let state_bytes = counters.footprint_bytes()
         + n * stride * std::mem::size_of::<Id>()
@@ -755,7 +756,7 @@ pub fn run_scale_churn(config: &ScaleChurnConfig) -> ScaleChurnReport {
                     .filter(|&(id, _)| arena.rank_of(id).is_some_and(|r| alive[r]));
                 chunk.set(
                     rank,
-                    solve_aware(&mut workspace, arena, sc.k, rank, &core, live),
+                    solve_aware(&mut workspace, arena, k, rank, &core, live),
                 );
                 count += 1;
             }

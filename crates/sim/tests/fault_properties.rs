@@ -6,7 +6,7 @@
 //! between the aware and oblivious strategies go through
 //! `f64::total_cmp` (rule L8).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use peercache_faults::{FaultConfig, FaultPlan};
 use peercache_id::{Id, IdSpace};
@@ -51,18 +51,30 @@ fn fault_configs() -> impl Strategy<Value = FaultConfig> {
         )
 }
 
-/// A stable overlay of `NODES` live nodes with random auxiliary sets
-/// installed, plus its membership.
-fn build_overlay(kind: OverlayKind, seed: u64) -> (SimOverlay, Vec<Id>) {
+/// A node's auxiliary set, keyed by node.
+type AuxTable = BTreeMap<Id, Vec<Id>>;
+
+/// A stable overlay of `NODES` live nodes, its membership, and a random
+/// auxiliary set per node. Every node is live, so walking this table
+/// read-only is the walk over the same sets installed by `set_aux`.
+fn build_overlay(kind: OverlayKind, seed: u64) -> (SimOverlay, Vec<Id>, AuxTable) {
     let space = IdSpace::new(32).expect("valid width");
     let mut rng = StdRng::seed_from_u64(seed);
     let ids = random_ids(space, NODES, &mut rng);
-    let mut overlay = SimOverlay::build(kind, space, &ids, &mut rng);
-    for &node in &ids {
-        let aux: Vec<Id> = (0..4).map(|_| ids[rng.gen_range(0..ids.len())]).collect();
-        overlay.set_aux(node, &aux);
-    }
-    (overlay, ids)
+    let overlay = SimOverlay::build(kind, space, &ids, &mut rng);
+    let aux = ids
+        .iter()
+        .map(|&node| {
+            let set = (0..4).map(|_| ids[rng.gen_range(0..ids.len())]).collect();
+            (node, set)
+        })
+        .collect();
+    (overlay, ids, aux)
+}
+
+/// The walks' view of `aux`: a node's set, empty for an unknown node.
+fn aux_of<'a>(aux: &'a AuxTable) -> impl Fn(Id) -> &'a [Id] {
+    |id| aux.get(&id).map_or(&[], Vec::as_slice)
 }
 
 proptest! {
@@ -74,13 +86,13 @@ proptest! {
         seed in 0u64..(1 << 32),
     ) {
         for kind in KINDS {
-            let (overlay, ids) = build_overlay(kind, seed);
+            let (overlay, ids, aux) = build_overlay(kind, seed);
             let plan = FaultPlan::new(seed ^ 0x5eed, &config);
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(99));
             for _ in 0..QUERIES {
                 let from = ids[rng.gen_range(0..ids.len())];
                 let key = Id::new(u128::from(rng.gen::<u32>()));
-                let route = overlay.query_faulted(from, key, &plan);
+                let route = overlay.query_with_aux_faults(from, key, aux_of(&aux), &plan);
                 let trace = &route.trace;
                 // Terminates within the hop bound: the path starts at the
                 // origin, advances once per hop, and never revisits.
@@ -118,14 +130,14 @@ proptest! {
         seed in 0u64..(1 << 32),
     ) {
         for kind in KINDS {
-            let (overlay, ids) = build_overlay(kind, seed);
+            let (overlay, ids, aux) = build_overlay(kind, seed);
             let plan = FaultPlan::new(seed ^ 0x5eed, &config);
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(7));
             for _ in 0..QUERIES {
                 let from = ids[rng.gen_range(0..ids.len())];
                 let key = Id::new(u128::from(rng.gen::<u32>()));
-                let first = overlay.query_faulted(from, key, &plan);
-                let second = overlay.query_faulted(from, key, &plan);
+                let first = overlay.query_with_aux_faults(from, key, aux_of(&aux), &plan);
+                let second = overlay.query_with_aux_faults(from, key, aux_of(&aux), &plan);
                 prop_assert_eq!(first, second);
             }
         }
@@ -136,13 +148,13 @@ proptest! {
         seed in 0u64..(1 << 32),
     ) {
         for kind in KINDS {
-            let (overlay, ids) = build_overlay(kind, seed);
+            let (overlay, ids, aux) = build_overlay(kind, seed);
             let plan = FaultPlan::transparent(seed);
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(13));
             for _ in 0..QUERIES {
                 let from = ids[rng.gen_range(0..ids.len())];
                 let key = Id::new(u128::from(rng.gen::<u32>()));
-                let route = overlay.query_faulted(from, key, &plan);
+                let route = overlay.query_with_aux_faults(from, key, aux_of(&aux), &plan);
                 prop_assert!(route.is_success(), "{:?}: {:?}", kind, route.outcome);
                 prop_assert_eq!(route.trace.timeouts, 0);
                 prop_assert_eq!(route.trace.retries, 0);

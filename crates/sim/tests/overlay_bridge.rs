@@ -5,10 +5,11 @@
 use peercache_freq::FrequencySnapshot;
 use peercache_id::{Id, IdSpace};
 use peercache_pastry::RoutingMode;
+use peercache_sim::overlay::SelectScratch;
 use peercache_sim::{OverlayKind, SimOverlay};
 use peercache_workload::random_ids;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn kinds() -> Vec<OverlayKind> {
     vec![
@@ -85,13 +86,16 @@ fn query_with_path_starts_at_origin_and_ends_at_owner() {
 
 #[test]
 fn select_aware_filters_core_and_self() {
+    let mut scratch = SelectScratch::new();
     for kind in kinds() {
         let (overlay, ids) = build(kind, 48, 5);
         let me = ids[0];
         let core = overlay.core_neighbors(me);
         // Frequencies deliberately include the node itself and its cores.
         let freqs = FrequencySnapshot::from_pairs(ids.iter().map(|&id| (id, 5.0)));
-        let sel = overlay.select_aware(me, &freqs, 6).unwrap();
+        let sel = overlay
+            .select_aware_into(me, &freqs, 6, &mut scratch)
+            .unwrap();
         assert_eq!(sel.aux.len(), 6, "{kind:?}");
         assert!(!sel.aux.contains(&me));
         for aux in &sel.aux {
@@ -138,5 +142,46 @@ fn churn_ops_work_on_both_overlays() {
         assert!(overlay.is_live(ids[3]));
         assert!(overlay.stabilize(ids[3]));
         assert!(!overlay.stabilize(Id::new(0x7777_7777)), "unknown node");
+    }
+}
+
+/// Every live node's core set, as `core_neighbors_into` hands it out,
+/// is strictly ascending. The churn refresh engine compares and copies
+/// that buffer as its sorted core mirror, and `select_aware_into`
+/// binary-searches it, so neither sorts it again.
+fn assert_cores_strictly_ascending(overlay: &SimOverlay, when: &str) {
+    let mut core = Vec::new();
+    for node in overlay.live_ids() {
+        overlay.core_neighbors_into(node, &mut core);
+        assert!(
+            core.windows(2).all(|w| w[0] < w[1]),
+            "{:?} {when}: core of {node} not strictly ascending: {core:?}",
+            overlay.kind()
+        );
+    }
+}
+
+#[test]
+fn core_sets_stay_strictly_ascending_under_churn() {
+    for kind in kinds() {
+        let (mut overlay, ids) = build(kind, 64, 11);
+        assert_cores_strictly_ascending(&overlay, "after the build");
+        let mut rng = StdRng::seed_from_u64(12);
+        for round in 0..200 {
+            let id = ids[rng.gen_range(0..ids.len())];
+            match round % 3 {
+                // Keep at least half the ring alive.
+                0 if overlay.live_ids().len() > ids.len() / 2 => {
+                    overlay.fail(id);
+                }
+                1 => {
+                    overlay.join(id, &mut rng);
+                }
+                _ => {
+                    overlay.stabilize(id);
+                }
+            }
+        }
+        assert_cores_strictly_ascending(&overlay, "after churn");
     }
 }

@@ -16,7 +16,7 @@
 //! | Module | Backing crate | Contents |
 //! |--------|---------------|----------|
 //! | [`id`] | `peercache-id` | b-bit ring identifiers, prefix/digit ops, hop estimates |
-//! | [`freq`] | `peercache-freq` | access-frequency tracking (exact, Space-Saving, decayed, windowed) |
+//! | [`freq`] | `peercache-freq` | access-frequency tracking (exact, Space-Saving) |
 //! | [`select`] | `peercache-core` | the optimal selection algorithms (Pastry trie DP/greedy/incremental, Chord DPs, QoS, baselines) |
 //! | [`chord`] | `peercache-chord` | Chord overlay (fingers, successor lists, stabilization, churn) |
 //! | [`pastry`] | `peercache-pastry` | Pastry overlay (prefix routing, leaf sets, locality-aware forwarding) |
